@@ -91,7 +91,7 @@ bench-diff:
 # span reduction with/without a checkpoint sink) — proves the hot paths
 # still execute end to end.
 bench-smoke:
-	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|AveragedNDF|BankClassify|RegistryDispatch|CampaignReduce1M|CampaignRun1M|QuantileSketchPush|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|AveragedNDF|BankClassify|BankLUTBuild|RegistryDispatch|CampaignReduce1M|CampaignRun1M|QuantileSketchPush|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
 
 # Short-budget fuzz pass over the SPICE netlist parser, the signature
 # binary decoder, the trial-template mutation engine, the streaming

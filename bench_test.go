@@ -398,6 +398,36 @@ func BenchmarkBankClassifyBatch(b *testing.B) {
 	}
 }
 
+// BANK-POINT: one point through the per-bit certified LUT — the edge
+// bisection probe of the batched exact signature (compare against
+// BenchmarkBankClassify, the exact six-monitor evaluation).
+func BenchmarkBankClassifyPoint(b *testing.B) {
+	bank := monitor.NewAnalyticTableI()
+	src := rng.New(1)
+	xs := make([]float64, 1024)
+	ys := make([]float64, 1024)
+	for i := range xs {
+		xs[i] = src.Float64()
+		ys[i] = src.Float64()
+	}
+	bank.ClassifyPoint(xs[0], ys[0]) // build the LUT before timing
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank.ClassifyPoint(xs[i%1024], ys[i%1024])
+	}
+}
+
+// BANK-LUT-BUILD: cold zone-LUT certification of a fresh Table I bank
+// (the first BatchInfo) — the per-System setup every campaign and
+// service job pays once.
+func BenchmarkBankLUTBuild(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if enabled, _ := monitor.NewAnalyticTableI().BatchInfo(); !enabled {
+			b.Fatal("Table I bank built no LUT")
+		}
+	}
+}
+
 // SIG-BATCH: the batched tick-grid capture (cached stimulus grid, batch
 // output evaluation, zone-LUT classification, codes-slice walk) — the
 // per-period unit of every campaign. Compare against

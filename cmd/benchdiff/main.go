@@ -28,10 +28,11 @@ import (
 // defaultPins are the hot-path benchmarks the repository treats as a
 // performance contract: the SPICE linear fast path, the per-trial SPICE
 // campaign unit and its template/batched trial engines, the batched
-// signature engine, the streaming reduction engine, the streaming
+// signature engine, the zone LUT (batch and single-point classification
+// and its cold build), the streaming reduction engine, the streaming
 // statistics (quantile-sketch push and the streamed null calibration),
 // and the span reduction checkpointing at the fabric's default cadence.
-const defaultPins = "TransientTowThomasLinear$|SpiceCUTOutput$|SpiceTrialEngine$|SpiceTrialEngineBatch$|FaultTableSpice$|SignatureCaptureBatched$|AveragedNDFBatched$|CampaignReduce1M$|BankClassifyBatch$|QuantileSketchPush$|NoiseNullCalibration$|CheckpointOverhead/default$"
+const defaultPins = "TransientTowThomasLinear$|SpiceCUTOutput$|SpiceTrialEngine$|SpiceTrialEngineBatch$|FaultTableSpice$|SignatureCaptureBatched$|AveragedNDFBatched$|CampaignReduce1M$|BankClassifyBatch$|BankClassifyPoint$|BankLUTBuild$|QuantileSketchPush$|NoiseNullCalibration$|CheckpointOverhead/default$"
 
 func main() {
 	var (

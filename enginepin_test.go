@@ -10,9 +10,10 @@ import (
 // TestBatchedEnginePinnedSpeedup pins the batched signature engine's
 // performance contract, in the style of the SPICE transient fast-path
 // pin (BenchmarkTransientTowThomasLinear vs the Newton baseline): the
-// batched SignatureCapture and AveragedNDF paths must be at least 5×
+// batched SignatureCapture, ExactSignature (NDFOfScratch: LUT scan plus
+// LUT-routed edge bisection) and AveragedNDF paths must be at least 5×
 // faster than the retained scalar baseline on the Tow-Thomas default
-// system. Measured headroom is ~10×, so the pin tolerates machine noise;
+// system. Measured headroom is 10–20×, so the pin tolerates machine noise;
 // it still takes the best of three rounds to stay robust on loaded CI.
 // The companion bit-identity tests (core.TestBatched*, testbench
 // Test*ScalarVsBatched) guarantee the speed never costs a single bit.
@@ -78,6 +79,16 @@ func TestBatchedEnginePinnedSpeedup(t *testing.T) {
 		},
 		func() error {
 			_, err := scalar.CapturedSignatureScratch(cs, 0, nil, scS)
+			return err
+		})
+
+	speedup("ExactSignature",
+		func() error {
+			_, err := batched.NDFOfScratch(cb, scB)
+			return err
+		},
+		func() error {
+			_, err := scalar.NDFOfScratch(cs, scS)
 			return err
 		})
 

@@ -405,9 +405,10 @@ func (s *System) ExactSignature(c CUT) (*signature.Signature, error) {
 }
 
 // exactSignature is ExactSignature with optional per-worker scratch. The
-// batched path classifies the scan grid through the zone LUT and only
-// bisects the bracketed transitions with the exact classifier, so the
-// result is bit-identical to the scalar scan.
+// batched path classifies the scan grid through the zone LUT and bisects
+// the bracketed transitions with Bank.ClassifyPoint, which reads the
+// bits the LUT proves and evaluates only the rest exactly, so the result
+// is bit-identical to the scalar scan.
 func (s *System) exactSignature(c CUT, sc *TrialScratch) (*signature.Signature, error) {
 	if s.Scalar {
 		out, err := s.output(c)
@@ -424,7 +425,7 @@ func (s *System) exactSignature(c CUT, sc *TrialScratch) (*signature.Signature, 
 		return nil, err
 	}
 	cls := func(t float64) monitor.Code {
-		return s.Bank.Classify(s.Stimulus.Eval(t), out.Eval(t))
+		return s.Bank.ClassifyPoint(s.Stimulus.Eval(t), out.Eval(t))
 	}
 	ts, xs, err := s.scans()
 	if err != nil {

@@ -35,7 +35,12 @@ type Worker struct {
 	// DefaultPoll.
 	Poll time.Duration
 
-	compiled map[string]*testbench.ShardRun // job id -> compiled form
+	// The last compiled job: consecutive leases of one job (requeues,
+	// many shards) compile once, and a worker never holds more than one
+	// compiled run — each keeps a whole System (zone LUT, scan grids,
+	// golden signature) alive.
+	compiledJob string
+	compiled    *testbench.ShardRun
 }
 
 // Run leases and executes shards until ctx is cancelled, polling when
@@ -77,12 +82,13 @@ func (w *Worker) poll() time.Duration {
 	return DefaultPoll
 }
 
-// sharded resolves the lease's spec, caching per job so repeated leases
-// of one job (requeues, many shards) compile once per worker.
+// sharded resolves the lease's spec, reusing the last compiled run when
+// the lease belongs to the same job and replacing it otherwise.
 func (w *Worker) sharded(ctx context.Context, ls *Lease) (*testbench.ShardRun, error) {
-	if run, ok := w.compiled[ls.Job]; ok {
-		return run, nil
+	if w.compiled != nil && w.compiledJob == ls.Job {
+		return w.compiled, nil
 	}
+	w.compiledJob, w.compiled = "", nil // release the old run before compiling
 	compile := w.Compile
 	if compile == nil {
 		compile = defaultCompile
@@ -91,10 +97,7 @@ func (w *Worker) sharded(ctx context.Context, ls *Lease) (*testbench.ShardRun, e
 	if err != nil {
 		return nil, err
 	}
-	if w.compiled == nil {
-		w.compiled = map[string]*testbench.ShardRun{}
-	}
-	w.compiled[ls.Job] = run
+	w.compiledJob, w.compiled = ls.Job, run
 	return run, nil
 }
 

@@ -1,16 +1,20 @@
 package monitor
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
-// The batched classifier: Bank.ClassifyBatch answers per-point zone
-// codes from a precomputed grid — the certified zone LUT — and falls
-// back to the exact scalar Classify wherever the table cannot *prove*
-// the answer, so the batch API is bit-identical to the scalar one,
-// point for point.
+// The batched classifier: Bank.ClassifyBatch and Bank.ClassifyPoint
+// answer zone codes from a precomputed grid — the certified zone LUT —
+// that proves monitor bits cell by cell. Every bit a cell cannot prove
+// is evaluated exactly with that monitor's Bit, so both APIs are
+// bit-identical to the scalar Classify, point for point.
 //
 // # Certification argument
 //
-// Each analytic monitor's bit is the sign of its balance function
+// A zone code is n independent monitor bits, and bit m is the sign of
+// monitor m's balance function
 // Balance(x, y) = Σ_left IDSat(V_i) − Σ_right IDSat(V_i), where every
 // input voltage V_i is x, y, or a DC constant. IDSat is nondecreasing in
 // V_GS (it is 0.5·β·v_eff² with v_eff a nonnegative, nondecreasing
@@ -18,10 +22,12 @@ import "sync"
 // branch — true for every Table I configuration — Balance is monotone in
 // x and monotone in y. A function monotone in each variable separately
 // attains its extrema over an axis-aligned cell at the cell's corners;
-// therefore, if the four corner balances of a cell share a strict sign,
-// that sign — and hence the monitor's bit — holds over the entire closed
-// cell. A cell where every monitor is sign-constant classifies to a
-// single provable code.
+// therefore, if the four corner balances of monitor m share a strict
+// sign on a cell, that sign — and hence bit m — holds over the entire
+// closed cell. The proof is per monitor: each cell stores the bits its
+// corners prove plus a mask naming them, and a point in the cell pays
+// exact Bit evaluations only for the unproved monitors — usually the
+// one or two whose boundary crosses the cell, not the whole bank.
 //
 // Two guards keep the proof airtight in floating point:
 //
@@ -34,42 +40,61 @@ import "sync"
 //     power of two is exact in binary64) and a point can never be
 //     attributed to a cell that does not contain it.
 //
-// Cells that straddle a boundary, touch the margin, or lie outside the
-// grid fall back to the exact Balance evaluation. Banks that are not
-// certifiable at all — a transistor-level Spice monitor in the bank, or
-// a drive pattern that mixes one axis across both branches — skip the
-// LUT and classify every point with the scalar path.
+// Points outside the grid evaluate every bit exactly. Banks that are not
+// certifiable at all — a transistor-level Spice monitor in the bank, a
+// drive pattern that mixes one axis across both branches, or more than
+// eight monitors (one byte of bits per cell) — skip the LUT and classify
+// every point with the scalar path.
+//
+// # Separable build
+//
+// Input.Voltage is exactly x, y or a DC constant, so every corner
+// balance is assembled from per-device currents tabulated once at the
+// lutCells+1 node coordinates i/lutCells and summed as (I0+I1)−(I2+I3),
+// the operation order of Balance. The table
+// is therefore bit-identical to evaluating Balance at every grid node,
+// at 4·(lutCells+1) IDSat calls per monitor instead of 4·(lutCells+1)².
 
 const (
 	// lutCells is the zone LUT resolution per axis. Power of two, so the
 	// cell index arithmetic below is exact.
 	lutCells = 256
 	// lutMarginA is the corner-balance magnitude (in amperes) below which
-	// a cell is left uncertified. Monitor branch currents are on the µA
-	// scale; the softplus range-switch discontinuity is below 1e-18 A.
+	// a cell leaves a monitor's bit unproved. Monitor branch currents are
+	// on the µA scale; the softplus range-switch discontinuity is below
+	// 1e-18 A.
 	lutMarginA = 1e-15
+	// lutMaxMonitors bounds the bank size the LUT serves: proved bits and
+	// their mask are one byte each per cell.
+	lutMaxMonitors = 8
 )
 
-// zoneLUT is one bank's certified classification grid over [0,1)².
+// zoneLUT is one bank's per-bit certified classification grid over
+// [0,1)², row-major [y][x].
 type zoneLUT struct {
-	n     int
-	code  []Code // cell code, row-major [y][x], valid when known
-	known []bool // cell certified: every monitor sign-constant with margin
+	mons []*Analytic
+	full uint8   // mask with every monitor's bit set
+	bits []uint8 // bits proved by the cell's corners
+	mask []uint8 // which bits are proved
 }
 
-// lookup returns the certified code of the cell containing (x, y).
-// ok is false outside the grid or in an uncertified cell.
-func (l *zoneLUT) lookup(x, y float64) (Code, bool) {
-	if !(x >= 0 && x < 1 && y >= 0 && y < 1) {
-		return 0, false // outside the grid (or NaN): exact fallback
+// classify returns the zone code at (x, y): proved bits from the cell
+// containing the point, the rest (every bit outside the grid or for
+// NaN) from the exact monitor evaluation.
+func (l *zoneLUT) classify(x, y float64) Code {
+	var c Code
+	miss := l.full
+	if x >= 0 && x < 1 && y >= 0 && y < 1 {
+		idx := int(y*lutCells)*lutCells + int(x*lutCells)
+		c, miss = Code(l.bits[idx]), l.full&^l.mask[idx]
 	}
-	i := int(x * float64(l.n))
-	j := int(y * float64(l.n))
-	idx := j*l.n + i
-	if !l.known[idx] {
-		return 0, false
+	for ; miss != 0; miss &= miss - 1 {
+		m := bits.TrailingZeros8(miss)
+		if l.mons[m].Bit(x, y) == 1 {
+			c |= 1 << uint(m)
+		}
 	}
-	return l.code[idx], true
+	return c
 }
 
 // lutMonotone reports whether this monitor's balance is monotone in each
@@ -98,9 +123,12 @@ func (a *Analytic) lutMonotone() bool {
 }
 
 // buildLUT constructs the certified zone LUT, or returns nil when the
-// bank is not certifiable (non-analytic monitors, or a drive pattern
-// without per-axis monotonicity).
+// bank is not certifiable (non-analytic monitors, a drive pattern
+// without per-axis monotonicity, or more than lutMaxMonitors monitors).
 func (b *Bank) buildLUT() *zoneLUT {
+	if len(b.monitors) > lutMaxMonitors {
+		return nil
+	}
 	mons := make([]*Analytic, len(b.monitors))
 	for i, m := range b.monitors {
 		a, ok := m.(*Analytic)
@@ -109,39 +137,51 @@ func (b *Bank) buildLUT() *zoneLUT {
 		}
 		mons[i] = a
 	}
-	n := lutCells
-	l := &zoneLUT{n: n, code: make([]Code, n*n), known: make([]bool, n*n)}
-	for i := range l.known {
-		l.known[i] = true
+	const n = lutCells
+	l := &zoneLUT{
+		mons: mons,
+		full: uint8(1<<len(mons) - 1),
+		bits: make([]uint8, n*n),
+		mask: make([]uint8, n*n),
 	}
-	// Corner balances of one monitor at a time ((n+1)² grid nodes at the
-	// exact cell-edge coordinates i/n), then per-cell sign certification.
-	bal := make([]float64, (n+1)*(n+1))
+	var coord [n + 1]float64
+	for k := range coord {
+		coord[k] = float64(k) / float64(n)
+	}
+	// cur[d][k] is input device d's current at node coordinate k, which
+	// indexes the node's x (axis 0) or y (axis 1) position as the input
+	// is driven; a DC input's current is the same at every k.
+	var cur [4][n + 1]float64
+	var axis [4]int
+	sign := make([]int8, (n+1)*(n+1)) // margin sign of the balance per node
 	for mi, a := range mons {
-		for j := 0; j <= n; j++ {
-			y := float64(j) / float64(n)
-			for i := 0; i <= n; i++ {
-				bal[j*(n+1)+i] = a.Balance(float64(i)/float64(n), y)
+		for d, in := range a.cfg.Inputs {
+			for k, v := range coord {
+				cur[d][k] = a.devs[d].IDSat(in.Voltage(v, v))
+			}
+			axis[d] = 0
+			if in.Kind == DriveY {
+				axis[d] = 1
 			}
 		}
-		bit := Code(1) << uint(mi)
+		for j := 0; j <= n; j++ {
+			for i := 0; i <= n; i++ {
+				ij := [2]int{i, j}
+				bal := (cur[0][ij[axis[0]]] + cur[1][ij[axis[1]]]) - (cur[2][ij[axis[2]]] + cur[3][ij[axis[3]]])
+				sign[j*(n+1)+i] = signumMargin(bal)
+			}
+		}
+		bit := uint8(1) << uint(mi)
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
+				s := sign[j*(n+1)+i]
+				if s == 0 || sign[j*(n+1)+i+1] != s || sign[(j+1)*(n+1)+i] != s || sign[(j+1)*(n+1)+i+1] != s {
+					continue
+				}
 				idx := j*n + i
-				if !l.known[idx] {
-					continue
-				}
-				c00 := bal[j*(n+1)+i]
-				c10 := bal[j*(n+1)+i+1]
-				c01 := bal[(j+1)*(n+1)+i]
-				c11 := bal[(j+1)*(n+1)+i+1]
-				s := signumMargin(c00)
-				if s == 0 || signumMargin(c10) != s || signumMargin(c01) != s || signumMargin(c11) != s {
-					l.known[idx] = false
-					continue
-				}
-				if s != a.refSign {
-					l.code[idx] |= bit
+				l.mask[idx] |= bit
+				if int(s) != a.refSign {
+					l.bits[idx] |= bit
 				}
 			}
 		}
@@ -150,8 +190,8 @@ func (b *Bank) buildLUT() *zoneLUT {
 }
 
 // signumMargin is signum with the certification margin: balances inside
-// ±lutMarginA count as boundary (0) and leave the cell uncertified.
-func signumMargin(v float64) int {
+// ±lutMarginA count as boundary (0) and leave the bit unproved.
+func signumMargin(v float64) int8 {
 	switch {
 	case v > lutMarginA:
 		return 1
@@ -170,11 +210,12 @@ func (b *Bank) lut() *zoneLUT {
 }
 
 // ClassifyBatch classifies every (xs[i], ys[i]) pair into codes[i]. It
-// is bit-identical to calling Classify point by point: certified LUT
-// cells answer by table lookup, and boundary-straddling, out-of-range or
-// otherwise unprovable points fall back to the exact scalar evaluation.
-// Banks containing non-analytic monitors (e.g. the transistor-level
-// Spice bank) classify every point through the scalar path.
+// is bit-identical to calling Classify point by point: bits the LUT
+// proves for a point's cell answer by table lookup, and every unproved
+// bit — a boundary crossing the cell, the margin, or a point outside the
+// grid — is evaluated exactly by its monitor. Banks that build no LUT
+// (e.g. the transistor-level Spice bank) classify every point through
+// the scalar path.
 //
 // The three slices must have equal length. After the one-time LUT
 // construction the call performs no allocations.
@@ -192,29 +233,38 @@ func (b *Bank) ClassifyBatch(xs, ys []float64, codes []Code) {
 		return
 	}
 	for i := range xs {
-		if c, ok := l.lookup(xs[i], ys[i]); ok {
-			codes[i] = c
-		} else {
-			codes[i] = b.Classify(xs[i], ys[i])
-		}
+		codes[i] = l.classify(xs[i], ys[i])
 	}
 }
 
+// ClassifyPoint is ClassifyBatch for a single point: the zone code at
+// (x, y), bit-identical to Classify, with the bits the LUT proves read
+// from the table. Edge bisection calls it once per probe. After the
+// one-time LUT construction the call performs no allocations.
+//
+//mclint:hotpath
+func (b *Bank) ClassifyPoint(x, y float64) Code {
+	if l := b.lut(); l != nil {
+		return l.classify(x, y)
+	}
+	return b.Classify(x, y)
+}
+
 // BatchInfo reports whether ClassifyBatch runs on a certified zone LUT
-// for this bank and, if so, the fraction of grid cells it certified
-// (the rest fall back to the exact classifier).
+// for this bank and, if so, the fraction of grid cells that prove every
+// monitor bit (the rest evaluate their unproved bits exactly).
 func (b *Bank) BatchInfo() (lutEnabled bool, certifiedFrac float64) {
 	l := b.lut()
 	if l == nil {
 		return false, 0
 	}
 	n := 0
-	for _, k := range l.known {
-		if k {
+	for _, m := range l.mask {
+		if m == l.full {
 			n++
 		}
 	}
-	return true, float64(n) / float64(len(l.known))
+	return true, float64(n) / float64(len(l.mask))
 }
 
 // lutState carries the lazily built zone LUT of a bank.

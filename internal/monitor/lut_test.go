@@ -1,15 +1,19 @@
 package monitor
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
+	"repro/internal/mos"
 	"repro/internal/rng"
 )
 
 // TestClassifyBatchMatchesScalarRandom is the LUT certification property
 // test: on random points — inside the grid, outside [0,1), and far out of
-// range — ClassifyBatch must equal per-point Classify bit for bit.
+// range — ClassifyBatch and ClassifyPoint must equal per-point Classify
+// bit for bit.
 func TestClassifyBatchMatchesScalarRandom(t *testing.T) {
 	bank := NewAnalyticTableI()
 	src := rng.New(11)
@@ -32,17 +36,22 @@ func TestClassifyBatchMatchesScalarRandom(t *testing.T) {
 	codes := make([]Code, n)
 	bank.ClassifyBatch(xs, ys, codes)
 	for i := range xs {
-		if want := bank.Classify(xs[i], ys[i]); codes[i] != want {
+		want := bank.Classify(xs[i], ys[i])
+		if codes[i] != want {
 			t.Fatalf("point %d (%.6f, %.6f): batch %06b, scalar %06b",
 				i, xs[i], ys[i], codes[i], want)
+		}
+		if got := bank.ClassifyPoint(xs[i], ys[i]); got != want {
+			t.Fatalf("point %d (%.6f, %.6f): ClassifyPoint %06b, scalar %06b",
+				i, xs[i], ys[i], got, want)
 		}
 	}
 }
 
 // TestClassifyBatchBoundaryAndEdgePoints stresses the hard cases: points
 // exactly on monitor boundaries (where the balance is ~0 and the cell
-// must have been left uncertified), exactly on LUT cell edges (i/256),
-// and the corners of the grid.
+// must have left that monitor's bit unproved), exactly on LUT cell edges
+// (i/256), the corners of the grid, and NaN coordinates.
 func TestClassifyBatchBoundaryAndEdgePoints(t *testing.T) {
 	bank := NewAnalyticTableI()
 	var xs, ys []float64
@@ -62,15 +71,20 @@ func TestClassifyBatchBoundaryAndEdgePoints(t *testing.T) {
 		xs = append(xs, v, v, 0.5)
 		ys = append(ys, v, 0.5, v)
 	}
-	// Exactly 1.0 (outside the half-open grid) and negative zero.
-	xs = append(xs, 1.0, math.Copysign(0, -1))
-	ys = append(ys, 1.0, 0.5)
+	// Exactly 1.0 (outside the half-open grid), negative zero and NaN.
+	xs = append(xs, 1.0, math.Copysign(0, -1), math.NaN(), 0.5)
+	ys = append(ys, 1.0, 0.5, 0.5, math.NaN())
 	codes := make([]Code, len(xs))
 	bank.ClassifyBatch(xs, ys, codes)
 	for i := range xs {
-		if want := bank.Classify(xs[i], ys[i]); codes[i] != want {
+		want := bank.Classify(xs[i], ys[i])
+		if codes[i] != want {
 			t.Fatalf("hard point %d (%v, %v): batch %06b, scalar %06b",
 				i, xs[i], ys[i], codes[i], want)
+		}
+		if got := bank.ClassifyPoint(xs[i], ys[i]); got != want {
+			t.Fatalf("hard point %d (%v, %v): ClassifyPoint %06b, scalar %06b",
+				i, xs[i], ys[i], got, want)
 		}
 	}
 }
@@ -109,14 +123,14 @@ func TestClassifyBatchFallsBackWithoutCertifiableBank(t *testing.T) {
 }
 
 // TestLUTEnabledForTableI pins that the paper's bank actually certifies:
-// the batched engine's speedup relies on most cells answering by lookup.
+// the batched engine's speedup relies on most cells proving every bit.
 func TestLUTEnabledForTableI(t *testing.T) {
 	enabled, frac := NewAnalyticTableI().BatchInfo()
 	if !enabled {
 		t.Fatal("Table I bank must build a certified zone LUT")
 	}
 	if frac < 0.90 {
-		t.Fatalf("certified fraction %.3f, want >= 0.90 (boundary cells only)", frac)
+		t.Fatalf("fully certified fraction %.3f, want >= 0.90 (boundary cells only)", frac)
 	}
 }
 
@@ -169,6 +183,13 @@ func TestClassifyAllocationFree(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("warm ClassifyBatch allocates %.1f per call, want 0", a)
 	}
+	k := 0
+	if a := testing.AllocsPerRun(1000, func() {
+		bank.ClassifyPoint(xs[k%len(xs)], ys[k%len(ys)])
+		k++
+	}); a != 0 {
+		t.Fatalf("warm ClassifyPoint allocates %.1f per call, want 0", a)
+	}
 }
 
 func TestClassifyBatchLengthMismatchPanics(t *testing.T) {
@@ -178,4 +199,151 @@ func TestClassifyBatchLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	NewAnalyticTableI().ClassifyBatch(make([]float64, 3), make([]float64, 3), make([]Code, 2))
+}
+
+// referenceLUT is the direct form of the per-bit certification: the
+// margin sign of Analytic.Balance evaluated at every grid node, then a
+// bit proved wherever a cell's four corners agree. buildLUT's separable
+// table must reproduce it exactly.
+func referenceLUT(b *Bank) (proved, mask []uint8) {
+	const n = lutCells
+	proved, mask = make([]uint8, n*n), make([]uint8, n*n)
+	bal := make([]float64, (n+1)*(n+1))
+	for mi, m := range b.Monitors() {
+		a := m.(*Analytic)
+		for j := 0; j <= n; j++ {
+			for i := 0; i <= n; i++ {
+				bal[j*(n+1)+i] = a.Balance(float64(i)/float64(n), float64(j)/float64(n))
+			}
+		}
+		for j := 0; j < n; j++ {
+			for i := 0; i < n; i++ {
+				s := signumMargin(bal[j*(n+1)+i])
+				if s == 0 || signumMargin(bal[j*(n+1)+i+1]) != s ||
+					signumMargin(bal[(j+1)*(n+1)+i]) != s || signumMargin(bal[(j+1)*(n+1)+i+1]) != s {
+					continue
+				}
+				mask[j*n+i] |= 1 << uint(mi)
+				if int(s) != a.refSign {
+					proved[j*n+i] |= 1 << uint(mi)
+				}
+			}
+		}
+	}
+	return proved, mask
+}
+
+// tableIWith rebuilds the Table I bank with every input device's
+// parameters mapped through f — the construction of the process-corner
+// and temperature banks of the testbench drift campaigns.
+func tableIWith(f func(mos.Params) mos.Params) *Bank {
+	var ms []Monitor
+	for _, cfg := range TableI() {
+		a := MustAnalytic(cfg)
+		devs := a.Devices()
+		for j := range devs {
+			devs[j].P = f(devs[j].P)
+		}
+		ms = append(ms, a.WithDevices(devs))
+	}
+	return NewBank(ms...)
+}
+
+// TestLUTMatchesReferenceBuild pins the separable table build to the
+// direct Balance-at-every-node certification, bit for bit, on every kind
+// of bank the campaigns classify with: Table I, a Monte-Carlo die, the
+// five process corners and the temperature sweep.
+func TestLUTMatchesReferenceBuild(t *testing.T) {
+	type namedBank struct {
+		name string
+		bank *Bank
+	}
+	banks := []namedBank{
+		{"tableI", NewAnalyticTableI()},
+		{"mc-die", NewAnalyticTableI().Perturbed(mos.Default65nmVariation().SampleDie(rng.New(7)))},
+	}
+	for _, c := range mos.Corners() {
+		banks = append(banks, namedBank{"corner-" + c.String(),
+			tableIWith(func(p mos.Params) mos.Params { return p.AtCorner(c) })})
+	}
+	for _, tk := range []float64{233, 273, 300, 323, 358, 398} {
+		banks = append(banks, namedBank{fmt.Sprintf("temp-%gK", tk),
+			tableIWith(func(p mos.Params) mos.Params { return p.AtTemperature(tk) })})
+	}
+	for _, nb := range banks {
+		name, bank := nb.name, nb.bank
+		l := bank.lut()
+		if l == nil {
+			t.Fatalf("%s: bank builds no LUT", name)
+		}
+		refBits, refMask := referenceLUT(bank)
+		for idx := range refMask {
+			if l.mask[idx] != refMask[idx] || l.bits[idx] != refBits[idx] {
+				t.Fatalf("%s: cell (%d, %d): table bits %06b mask %06b, reference bits %06b mask %06b",
+					name, idx%lutCells, idx/lutCells, l.bits[idx], l.mask[idx], refBits[idx], refMask[idx])
+			}
+		}
+		// And the table answers exactly on this bank's own points.
+		src := rng.New(13)
+		for k := 0; k < 2000; k++ {
+			x, y := src.Float64(), src.Float64()
+			if got, want := bank.ClassifyPoint(x, y), bank.Classify(x, y); got != want {
+				t.Fatalf("%s: (%v, %v): ClassifyPoint %06b, Classify %06b", name, x, y, got, want)
+			}
+		}
+	}
+}
+
+// TestLUTProvesMostBitsOnBoundaryCells: the per-bit table is what keeps
+// a boundary cell cheap — a cell crossed by one curve still proves the
+// other monitors' bits. On Table I almost every partially certified cell
+// leaves at most two bits to evaluate exactly.
+func TestLUTProvesMostBitsOnBoundaryCells(t *testing.T) {
+	l := NewAnalyticTableI().lut()
+	partial, fewMissing := 0, 0
+	for _, m := range l.mask {
+		if m == l.full {
+			continue
+		}
+		partial++
+		if bits.OnesCount8(l.full&^m) <= 2 {
+			fewMissing++
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no boundary cells: the Table I curves must cross the grid")
+	}
+	if frac := float64(fewMissing) / float64(partial); frac < 0.95 {
+		t.Fatalf("only %.3f of %d boundary cells leave <= 2 bits unproved", frac, partial)
+	}
+}
+
+// TestLUTRefusesOversizedBank: proved bits and masks are one byte per
+// cell, so a bank of more than eight monitors builds no LUT and both
+// batch APIs fall back to the exact classifier.
+func TestLUTRefusesOversizedBank(t *testing.T) {
+	var ms []Monitor
+	for len(ms) <= lutMaxMonitors {
+		for _, cfg := range TableI() {
+			ms = append(ms, MustAnalytic(cfg))
+		}
+	}
+	bank := NewBank(ms...)
+	if enabled, _ := bank.BatchInfo(); enabled {
+		t.Fatalf("%d-monitor bank must not build a LUT", len(ms))
+	}
+	src := rng.New(4)
+	xs := make([]float64, 200)
+	ys := make([]float64, 200)
+	for i := range xs {
+		xs[i], ys[i] = src.Float64(), src.Float64()
+	}
+	codes := make([]Code, len(xs))
+	bank.ClassifyBatch(xs, ys, codes)
+	for i := range xs {
+		want := bank.Classify(xs[i], ys[i])
+		if codes[i] != want || bank.ClassifyPoint(xs[i], ys[i]) != want {
+			t.Fatalf("oversized bank point %d mismatch", i)
+		}
+	}
 }

@@ -201,9 +201,10 @@ func Exact(classify Classifier, T float64, nScan int, tol float64) (*Signature, 
 // ExactFromCodes is Exact for the batched pipeline: the scan grid has
 // already been classified (codes[i] = code at T·i/nScan for
 // i = 0 … nScan, so len(codes) = nScan+1) and only the transition
-// brackets found on the grid are refined by bisection with the exact
-// scalar classifier. The result is bit-identical to Exact with a
-// classifier returning the same grid codes.
+// brackets found on the grid are refined by bisection with classify,
+// which must agree exactly with the classifier that produced the grid
+// (core routes it through the bank's certified LUT). The result is
+// bit-identical to Exact with a classifier returning the same grid codes.
 func ExactFromCodes(codes []monitor.Code, classify Classifier, T float64, tol float64) (*Signature, error) {
 	nScan := len(codes) - 1
 	if T <= 0 {

@@ -3,6 +3,10 @@ package testbench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/monitor"
+	"repro/internal/mos"
+	"repro/internal/rng"
 )
 
 func TestTempDriftGrowsAwayFrom300K(t *testing.T) {
@@ -118,5 +122,46 @@ func TestCornerDrift(t *testing.T) {
 	}
 	if !strings.Contains(cd.Render(), "corner") {
 		t.Fatal("render malformed")
+	}
+}
+
+// TestDriftBanksClassifyThroughLUTExactly: the process-corner and
+// temperature banks of the drift campaigns certify a zone LUT, and both
+// batch APIs answer bit-identically to the exact Classify on them.
+func TestDriftBanksClassifyThroughLUTExactly(t *testing.T) {
+	var banks []*monitor.Bank
+	for _, c := range mos.Corners() {
+		b, err := bankAtCorner(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		banks = append(banks, b)
+	}
+	for _, tk := range []float64{233, 398} {
+		b, err := bankAtTemperature(tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		banks = append(banks, b)
+	}
+	src := rng.New(21)
+	xs := make([]float64, 4000)
+	ys := make([]float64, len(xs))
+	for i := range xs {
+		xs[i], ys[i] = -0.05+1.1*src.Float64(), -0.05+1.1*src.Float64()
+	}
+	codes := make([]monitor.Code, len(xs))
+	for bi, b := range banks {
+		if enabled, _ := b.BatchInfo(); !enabled {
+			t.Fatalf("bank %d builds no zone LUT", bi)
+		}
+		b.ClassifyBatch(xs, ys, codes)
+		for i := range xs {
+			want := b.Classify(xs[i], ys[i])
+			if codes[i] != want || b.ClassifyPoint(xs[i], ys[i]) != want {
+				t.Fatalf("bank %d point (%v, %v): batch %06b, point %06b, exact %06b",
+					bi, xs[i], ys[i], codes[i], b.ClassifyPoint(xs[i], ys[i]), want)
+			}
+		}
 	}
 }
