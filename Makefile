@@ -21,9 +21,9 @@ GOFMT ?= gofmt
 BENCH_N ?= 10
 BENCH_PREV = $(shell expr $(BENCH_N) - 1)
 
-.PHONY: ci fmt vet lint lint-json build test race bench bench-json bench-smoke bench-diff fuzz-smoke serve-smoke fabric-smoke load load-smoke
+.PHONY: ci fmt vet lint lint-json build perfbench-check test race bench bench-json bench-smoke bench-diff fuzz-smoke serve-smoke fabric-smoke load load-smoke
 
-ci: fmt lint build race bench-smoke serve-smoke fabric-smoke load-smoke
+ci: fmt lint build perfbench-check race bench-smoke serve-smoke fabric-smoke load-smoke
 
 # gofmt gate: fail with the offending file list when any file is unformatted.
 fmt:
@@ -49,6 +49,12 @@ lint-json:
 
 build:
 	$(GO) build ./...
+
+# The benchmark of record (perfbench/) is its own module, so ./... above
+# never reaches it: vet and test it against the current tree so a core or
+# monitor API change cannot break the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full suite, including the long Monte-Carlo campaigns.
 test:
@@ -86,12 +92,12 @@ bench-diff:
 # batched-signature-engine, the streaming-reduction, the
 # registry-dispatch, the streaming-statistics and the
 # checkpoint-cadence benchmarks (fast path, Newton baseline, CUT
-# output, trial templates, fault table, batched vs scalar capture,
-# Reduce vs Run, spec dispatch, sketch push, streamed null calibration,
+# output, trial templates, fault table, batched vs scalar capture, the
+# warm per-die exact signature, Reduce vs Run, spec dispatch, sketch push, streamed null calibration,
 # span reduction with/without a checkpoint sink) — proves the hot paths
 # still execute end to end.
 bench-smoke:
-	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|AveragedNDF|BankClassify|BankLUTBuild|RegistryDispatch|CampaignReduce1M|CampaignRun1M|QuantileSketchPush|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|ExactSignatureScratch|AveragedNDF|BankClassify|BankLUTBuild|RegistryDispatch|CampaignReduce1M|CampaignRun1M|QuantileSketchPush|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
 
 # Short-budget fuzz pass over the SPICE netlist parser, the signature
 # binary decoder, the trial-template mutation engine, the streaming

@@ -342,6 +342,42 @@ func BenchmarkExactSignature(b *testing.B) {
 	}
 }
 
+// EXACT-SIG-SCRATCH: the warm exact-signature NDF of Monte-Carlo dies
+// (2% component sigma) through one reused trial scratch — the yield
+// campaign's per-die unit: CUT output, scan-grid classification, edge
+// bisection and NDF.
+func BenchmarkExactSignatureScratch(b *testing.B) {
+	sys := core.Default()
+	const dies = 64
+	cuts := make([]core.CUT, dies)
+	for i := range cuts {
+		s := rng.NewSub(1, uint64(i))
+		c, err := sys.Deviated(core.Deviation{
+			RDrift:  s.Gauss(0, 0.02),
+			RQDrift: s.Gauss(0, 0.02),
+			RGDrift: s.Gauss(0, 0.02),
+			CDrift:  s.Gauss(0, 0.02),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cuts[i] = c
+	}
+	sc := core.NewTrialScratch()
+	if _, err := sys.NDFOfScratch(cuts[0], sc); err != nil {
+		b.Fatal(err) // warm the LUT, grids and golden signature
+	}
+	var v float64
+	var err error
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v, err = sys.NDFOfScratch(cuts[i%dies], sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(v, "NDF")
+}
+
 func BenchmarkNDFExact(b *testing.B) {
 	sys := core.Default()
 	g, err := sys.GoldenSignature()

@@ -28,11 +28,11 @@ import (
 // defaultPins are the hot-path benchmarks the repository treats as a
 // performance contract: the SPICE linear fast path, the per-trial SPICE
 // campaign unit and its template/batched trial engines, the batched
-// signature engine, the zone LUT (batch and single-point classification
+// signature engine and its warm per-die exact signature, the zone LUT (batch and single-point classification
 // and its cold build), the streaming reduction engine, the streaming
 // statistics (quantile-sketch push and the streamed null calibration),
 // and the span reduction checkpointing at the fabric's default cadence.
-const defaultPins = "TransientTowThomasLinear$|SpiceCUTOutput$|SpiceTrialEngine$|SpiceTrialEngineBatch$|FaultTableSpice$|SignatureCaptureBatched$|AveragedNDFBatched$|CampaignReduce1M$|BankClassifyBatch$|BankClassifyPoint$|BankLUTBuild$|QuantileSketchPush$|NoiseNullCalibration$|CheckpointOverhead/default$"
+const defaultPins = "TransientTowThomasLinear$|SpiceCUTOutput$|SpiceTrialEngine$|SpiceTrialEngineBatch$|FaultTableSpice$|SignatureCaptureBatched$|ExactSignatureScratch$|AveragedNDFBatched$|CampaignReduce1M$|BankClassifyBatch$|BankClassifyPoint$|BankLUTBuild$|QuantileSketchPush$|NoiseNullCalibration$|CheckpointOverhead/default$"
 
 func main() {
 	var (

@@ -163,6 +163,12 @@ func (s *System) scans() (ts, xs []float64, err error) {
 type TrialScratch struct {
 	capture signature.CaptureBuffer
 	xs, ys  []float64
+	// ybase holds averagedNDF's clean output tick samples, shared
+	// read-only by every period of one call.
+	ybase []float64
+	// miss lists the scan points the bounded scan left for exact
+	// evaluation.
+	miss []int32
 	// spice carries the SPICE backend's per-worker trial state: a
 	// compiled circuit template plus the transient sample buffer, so a
 	// worker's trials skip netlist elaboration and solver setup entirely.
@@ -175,20 +181,23 @@ func NewTrialScratch() *TrialScratch { return &TrialScratch{} }
 
 // growXs returns the x-sample scratch resized to n (contents undefined).
 func (sc *TrialScratch) growXs(n int) []float64 {
-	if cap(sc.xs) < n {
-		sc.xs = make([]float64, n)
-	}
-	sc.xs = sc.xs[:n]
+	sc.xs = grow(sc.xs, n)
 	return sc.xs
 }
 
 // growYs returns the y-sample scratch resized to n (contents undefined).
 func (sc *TrialScratch) growYs(n int) []float64 {
-	if cap(sc.ys) < n {
-		sc.ys = make([]float64, n)
-	}
-	sc.ys = sc.ys[:n]
+	sc.ys = grow(sc.ys, n)
 	return sc.ys
+}
+
+// grow returns buf resized to n, reallocating only when its capacity is
+// short (contents undefined).
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // goldenParams is the paper's reference CUT.
@@ -405,10 +414,10 @@ func (s *System) ExactSignature(c CUT) (*signature.Signature, error) {
 }
 
 // exactSignature is ExactSignature with optional per-worker scratch. The
-// batched path classifies the scan grid through the zone LUT and bisects
-// the bracketed transitions with Bank.ClassifyPoint, which reads the
-// bits the LUT proves and evaluates only the rest exactly, so the result
-// is bit-identical to the scalar scan.
+// batched path classifies the scan grid (scanCodes) and bisects the
+// bracketed transitions with Bank.ClassifyPoint, which reads the bits
+// the LUT proves and evaluates only the rest exactly, so the result is
+// bit-identical to the scalar scan.
 func (s *System) exactSignature(c CUT, sc *TrialScratch) (*signature.Signature, error) {
 	if s.Scalar {
 		out, err := s.output(c)
@@ -427,18 +436,44 @@ func (s *System) exactSignature(c CUT, sc *TrialScratch) (*signature.Signature, 
 	cls := func(t float64) monitor.Code {
 		return s.Bank.ClassifyPoint(s.Stimulus.Eval(t), out.Eval(t))
 	}
+	if sc == nil {
+		sc = NewTrialScratch()
+	}
+	codes, err := s.scanCodes(out, sc)
+	if err != nil {
+		return nil, err
+	}
+	return signature.ExactFromCodes(codes, cls, s.Period(), 0)
+}
+
+// scanCodes classifies the output on the scan grid into the scratch's
+// code buffer, bit-identical to ClassifyBatch over the exact samples.
+// An analytic output (a Multitone) on a bank with a zone LUT takes the
+// bounded path: the grid is approximated from the process-wide root
+// table with a proven error bound eps (wave.Multitone.EvalGrid), the
+// LUT settles every point whose eps-interval it proves, and only the
+// remaining points are evaluated and classified exactly. Sampled (SPICE)
+// outputs, banks without a LUT and grids the bound does not cover take
+// the exact batch path.
+func (s *System) scanCodes(out wave.Waveform, sc *TrialScratch) ([]monitor.Code, error) {
 	ts, xs, err := s.scans()
 	if err != nil {
 		return nil, err
 	}
-	if sc == nil {
-		sc = NewTrialScratch()
-	}
 	ys := sc.growYs(len(ts))
-	wave.EvalInto(out, ts, ys)
 	codes := sc.capture.Codes(len(ts))
+	if m, ok := out.(*wave.Multitone); ok && s.Bank.HasLUT() {
+		if eps, ok := m.EvalGrid(s.Period(), s.ScanN, ys); ok {
+			sc.miss = s.Bank.ClassifyBounded(xs, ys, eps, codes, sc.miss[:0])
+			for _, i := range sc.miss {
+				codes[i] = s.Bank.ClassifyPoint(xs[i], m.Eval(ts[i]))
+			}
+			return codes, nil
+		}
+	}
+	wave.EvalInto(out, ts, ys)
 	s.Bank.ClassifyBatch(xs, ys, codes)
-	return signature.ExactFromCodes(codes, cls, s.Period(), 0)
+	return codes, nil
 }
 
 // CapturedSignature runs the Fig. 5 clocked capture for a CUT,
@@ -668,7 +703,15 @@ func (s *System) averagedNDF(ctx context.Context, c CUT, sigma float64, noise *r
 		if err != nil {
 			return 0, err
 		}
-		ybase := make([]float64, len(ts))
+		// The clean samples live in the caller's scratch, apart from the
+		// buffers each period's trial grows.
+		var ybase []float64
+		if sc != nil {
+			sc.ybase = grow(sc.ybase, len(ts))
+			ybase = sc.ybase
+		} else {
+			ybase = make([]float64, len(ts))
+		}
 		wave.EvalInto(out, ts, ybase)
 		eff := EffectiveNoiseSigma(sigma)
 		trial = func(k int, sc *TrialScratch) (float64, error) {

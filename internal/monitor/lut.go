@@ -215,16 +215,15 @@ func (b *Bank) lut() *zoneLUT {
 // bit — a boundary crossing the cell, the margin, or a point outside the
 // grid — is evaluated exactly by its monitor. Banks that build no LUT
 // (e.g. the transistor-level Spice bank) classify every point through
-// the scalar path.
+// the scalar path. It is the ε = 0 case of ClassifyBounded's loop, with
+// every miss classified in place.
 //
 // The three slices must have equal length. After the one-time LUT
 // construction the call performs no allocations.
 //
 //mclint:hotpath
 func (b *Bank) ClassifyBatch(xs, ys []float64, codes []Code) {
-	if len(xs) != len(ys) || len(codes) != len(xs) {
-		panic("monitor: ClassifyBatch needs equal-length xs, ys and codes")
-	}
+	checkBatch(xs, ys, codes)
 	l := b.lut()
 	if l == nil {
 		for i := range xs {
@@ -232,9 +231,73 @@ func (b *Bank) ClassifyBatch(xs, ys []float64, codes []Code) {
 		}
 		return
 	}
-	for i := range xs {
-		codes[i] = l.classify(xs[i], ys[i])
+	l.scan(xs, ys, 0, codes, nil, true)
+}
+
+// ClassifyBounded classifies the points whose code the LUT proves from
+// an approximate y: ys[i] need only be within eps of the true y. Point i
+// gets its table code in codes[i] when x is inside the grid,
+// [ys[i]−eps, ys[i]+eps] lies inside one LUT row of the grid, and that
+// cell proves every monitor bit — then the true point shares the cell,
+// so the code is Classify's. Every other index (a straddled row, a
+// partially proved cell, a point outside the grid, NaN) is appended to
+// miss, in order, and codes[i] is left for the caller to fill exactly. A
+// bank without a LUT proves nothing: every index is a miss.
+//
+// The interval test is sound in floating point: the true y is itself a
+// float64 in the real interval [y−eps, y+eps], and rounding is
+// monotone, so fl(y−eps) ≤ y_true ≤ fl(y+eps); the row index is
+// monotone in y, so equal rows at both ends pin the true row.
+//
+// xs, ys and codes must have equal length. With miss of sufficient
+// capacity the call performs no allocations.
+//
+//mclint:hotpath
+func (b *Bank) ClassifyBounded(xs, ys []float64, eps float64, codes []Code, miss []int32) []int32 {
+	checkBatch(xs, ys, codes)
+	l := b.lut()
+	if l == nil {
+		for i := range xs {
+			//mclint:hotalloc caller-owned miss buffer; warm calls reuse its capacity
+			miss = append(miss, int32(i))
+		}
+		return miss
 	}
+	return l.scan(xs, ys, eps, codes, miss, false)
+}
+
+// checkBatch panics unless the batch slices have equal length.
+func checkBatch(xs, ys []float64, codes []Code) {
+	if len(xs) != len(ys) || len(codes) != len(xs) {
+		panic("monitor: batch classification needs equal-length xs, ys and codes")
+	}
+}
+
+// scan is the one LUT classification loop behind ClassifyBatch and
+// ClassifyBounded: a point whose eps-interval sits in one fully proved
+// cell takes the cell's code; every other point is classified in place
+// by classify (exact) or appended to miss.
+//
+//mclint:hotpath
+func (l *zoneLUT) scan(xs, ys []float64, eps float64, codes []Code, miss []int32, exact bool) []int32 {
+	for i, x := range xs {
+		y := ys[i]
+		if lo, hi := y-eps, y+eps; x >= 0 && x < 1 && lo >= 0 && hi < 1 {
+			if row := int(lo * lutCells); row == int(hi*lutCells) {
+				if idx := row*lutCells + int(x*lutCells); l.mask[idx] == l.full {
+					codes[i] = Code(l.bits[idx])
+					continue
+				}
+			}
+		}
+		if exact {
+			codes[i] = l.classify(x, y)
+		} else {
+			//mclint:hotalloc caller-owned miss buffer; warm calls reuse its capacity
+			miss = append(miss, int32(i))
+		}
+	}
+	return miss
 }
 
 // ClassifyPoint is ClassifyBatch for a single point: the zone code at
@@ -249,6 +312,10 @@ func (b *Bank) ClassifyPoint(x, y float64) Code {
 	}
 	return b.Classify(x, y)
 }
+
+// HasLUT reports whether the bank classifies on a certified zone LUT,
+// building it on first use. ClassifyBounded proves nothing without one.
+func (b *Bank) HasLUT() bool { return b.lut() != nil }
 
 // BatchInfo reports whether ClassifyBatch runs on a certified zone LUT
 // for this bank and, if so, the fraction of grid cells that prove every

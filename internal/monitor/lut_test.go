@@ -183,6 +183,12 @@ func TestClassifyAllocationFree(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("warm ClassifyBatch allocates %.1f per call, want 0", a)
 	}
+	miss := make([]int32, 0, len(xs))
+	if a := testing.AllocsPerRun(200, func() {
+		miss = bank.ClassifyBounded(xs, ys, 1e-12, codes, miss[:0])
+	}); a != 0 {
+		t.Fatalf("warm ClassifyBounded allocates %.1f per call, want 0", a)
+	}
 	k := 0
 	if a := testing.AllocsPerRun(1000, func() {
 		bank.ClassifyPoint(xs[k%len(xs)], ys[k%len(ys)])
@@ -345,5 +351,140 @@ func TestLUTRefusesOversizedBank(t *testing.T) {
 		if codes[i] != want || bank.ClassifyPoint(xs[i], ys[i]) != want {
 			t.Fatalf("oversized bank point %d mismatch", i)
 		}
+	}
+}
+
+// TestClassifyBounded covers the bounded scan's soundness cases: a point
+// is answered from the table only when its whole eps-interval sits in
+// one fully proved cell inside the grid. Points within eps of a row
+// boundary (on either side, next to fully proved cells), within eps of
+// the grid's bottom and top, NaN, and points in partially proved cells
+// must all be misses; every answered point must carry Classify's code at
+// both ends of its interval; misses are listed in order and their codes
+// left untouched.
+func TestClassifyBounded(t *testing.T) {
+	bank := NewAnalyticTableI()
+	l := bank.lut()
+	const eps = 1e-9
+	full := func(row, col int) bool { return l.mask[row*lutCells+col] == l.full }
+	// want: +1 must be answered, -1 must miss, 0 either.
+	var xs, ys []float64
+	var want []int
+	add := func(x, y float64, w int) {
+		xs, ys, want = append(xs, x), append(ys, y), append(want, w)
+	}
+	// Row-boundary straddles between two fully proved cells, so only the
+	// interval test can send them to miss.
+	straddles := 0
+	for row := 1; row < lutCells; row++ {
+		for col := 0; col < lutCells; col += 17 {
+			if !full(row-1, col) || !full(row, col) {
+				continue
+			}
+			x, edge := (float64(col)+0.5)/lutCells, float64(row)/lutCells
+			add(x, edge-eps/2, -1)
+			add(x, edge+eps/2, -1)
+			add(x, edge, -1)
+			add(x, edge-2*eps, +1) // clear of the edge: answered
+			add(x, edge+2*eps, +1)
+			straddles++
+		}
+	}
+	if straddles < 100 {
+		t.Fatalf("only %d fully proved row pairs found", straddles)
+	}
+	// The grid's bottom and top: y < eps and y > 1−eps.
+	for _, x := range []float64{0.3, 0.5, 0.7} {
+		add(x, eps/2, -1)
+		add(x, 0, -1)
+		add(x, 1-eps/2, -1)
+		add(x, math.Nextafter(1, 0), -1)
+		add(x, -eps/2, -1)
+	}
+	// NaN in either coordinate.
+	add(math.NaN(), 0.5, -1)
+	add(0.5, math.NaN(), -1)
+	// Cell centres of partially proved cells.
+	partial := 0
+	for idx, m := range l.mask {
+		if m != l.full && idx%7 == 0 {
+			add((float64(idx%lutCells)+0.5)/lutCells, (float64(idx/lutCells)+0.5)/lutCells, -1)
+			partial++
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no partially proved cells found")
+	}
+	// Random points, in and out of the grid.
+	src := rng.New(21)
+	for i := 0; i < 5000; i++ {
+		add(-0.05+1.1*src.Float64(), -0.05+1.1*src.Float64(), 0)
+	}
+
+	const sentinel = Code(0xffff)
+	codes := make([]Code, len(xs))
+	for i := range codes {
+		codes[i] = sentinel
+	}
+	miss := bank.ClassifyBounded(xs, ys, eps, codes, nil)
+	inMiss := make([]bool, len(xs))
+	for k, i := range miss {
+		if k > 0 && i <= miss[k-1] {
+			t.Fatalf("miss list out of order at %d: %d after %d", k, i, miss[k-1])
+		}
+		inMiss[i] = true
+		if codes[i] != sentinel {
+			t.Fatalf("miss %d (%v, %v): code overwritten with %06b", i, xs[i], ys[i], codes[i])
+		}
+	}
+	for i := range xs {
+		if want[i] < 0 && !inMiss[i] {
+			t.Fatalf("point %d (%v, %v) answered %06b, want a miss", i, xs[i], ys[i], codes[i])
+		}
+		if want[i] > 0 && inMiss[i] {
+			t.Fatalf("point %d (%v, %v) missed, want it answered", i, xs[i], ys[i])
+		}
+		if inMiss[i] {
+			continue
+		}
+		for _, y := range []float64{ys[i] - eps, ys[i], ys[i] + eps} {
+			if c := bank.Classify(xs[i], y); codes[i] != c {
+				t.Fatalf("point %d (%v, %v): bounded code %06b, Classify at y=%v is %06b",
+					i, xs[i], ys[i], codes[i], y, c)
+			}
+		}
+	}
+
+	// eps = 0 answers exactly what ClassifyBatch reads from the table.
+	batch := make([]Code, len(xs))
+	bank.ClassifyBatch(xs, ys, batch)
+	for i := range codes {
+		codes[i] = sentinel
+	}
+	for _, i := range bank.ClassifyBounded(xs, ys, 0, codes, nil) {
+		codes[i] = batch[i]
+	}
+	for i := range codes {
+		if codes[i] != batch[i] {
+			t.Fatalf("point %d: eps=0 bounded code %06b, batch %06b", i, codes[i], batch[i])
+		}
+	}
+}
+
+// TestClassifyBoundedWithoutLUT: a bank that builds no LUT proves
+// nothing, so every point is a miss, appended after the caller's prefix.
+func TestClassifyBoundedWithoutLUT(t *testing.T) {
+	cfgs := TableI()
+	bank := NewBank(MustAnalytic(cfgs[0]), stubMonitor{cfg: cfgs[1]})
+	if bank.HasLUT() {
+		t.Fatal("bank with a non-analytic monitor reports a LUT")
+	}
+	if !NewAnalyticTableI().HasLUT() {
+		t.Fatal("Table I bank reports no LUT")
+	}
+	xs, ys := []float64{0.2, 0.5, 0.8}, []float64{0.5, 0.5, 0.5}
+	miss := bank.ClassifyBounded(xs, ys, 0, make([]Code, 3), []int32{-1})
+	if fmt.Sprint(miss) != "[-1 0 1 2]" {
+		t.Fatalf("miss = %v, want [-1 0 1 2]", miss)
 	}
 }
