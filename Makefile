@@ -90,18 +90,18 @@ bench-diff:
 # Smoke gate: single-iteration run of the SPICE transient, the
 # SPICE-campaign (rebuild, template and batched trial engines), the
 # batched-signature-engine, the streaming-reduction, the
-# registry-dispatch, the streaming-statistics and the
+# registry-dispatch, the null-calibration and the
 # checkpoint-cadence benchmarks (fast path, Newton baseline, CUT
 # output, trial templates, fault table, batched vs scalar capture, the
-# warm per-die exact signature, Reduce vs Run, spec dispatch, sketch push, streamed null calibration,
+# warm per-die exact signature, Reduce vs Run, spec dispatch, streamed null calibration,
 # span reduction with/without a checkpoint sink) — proves the hot paths
 # still execute end to end.
 bench-smoke:
-	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|ExactSignatureScratch|AveragedNDF|BankClassify|BankLUTBuild|RegistryDispatch|CampaignReduce1M|CampaignRun1M|QuantileSketchPush|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|ExactSignatureScratch|AveragedNDF|BankClassify|BankLUTBuild|RegistryDispatch|CampaignReduce1M|CampaignRun1M|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
 
 # Short-budget fuzz pass over the SPICE netlist parser, the signature
 # binary decoder, the trial-template mutation engine, the streaming
-# statistics codecs, the fabric job-log replay and the shard accumulator
+# histogram codec, the fabric job-log replay and the shard accumulator
 # codecs (seed corpora are checked in under testdata/fuzz). Each target
 # gets 10s — enough to exercise the mutator on every seed class without
 # blowing the CI budget. `go test -fuzz` accepts one target per
@@ -111,7 +111,6 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzTemplateMutation$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzUnmarshalBinary$$' -fuzztime=10s ./internal/signature
-	$(GO) test -run=^$$ -fuzz='^FuzzQuantileSketchUnmarshal$$' -fuzztime=10s ./internal/stat
 	$(GO) test -run=^$$ -fuzz='^FuzzStreamingHistogramUnmarshal$$' -fuzztime=10s ./internal/stat
 	$(GO) test -run=^$$ -fuzz='^FuzzJobLogReplay$$' -fuzztime=10s ./internal/fabric
 	$(GO) test -run=^$$ -fuzz='^FuzzShardBlobUnmarshal$$' -fuzztime=10s ./internal/testbench

@@ -29,10 +29,10 @@ import (
 // performance contract: the SPICE linear fast path, the per-trial SPICE
 // campaign unit and its template/batched trial engines, the batched
 // signature engine and its warm per-die exact signature, the zone LUT (batch and single-point classification
-// and its cold build), the streaming reduction engine, the streaming
-// statistics (quantile-sketch push and the streamed null calibration),
-// and the span reduction checkpointing at the fabric's default cadence.
-const defaultPins = "TransientTowThomasLinear$|SpiceCUTOutput$|SpiceTrialEngine$|SpiceTrialEngineBatch$|FaultTableSpice$|SignatureCaptureBatched$|ExactSignatureScratch$|AveragedNDFBatched$|CampaignReduce1M$|BankClassifyBatch$|BankClassifyPoint$|BankLUTBuild$|QuantileSketchPush$|NoiseNullCalibration$|CheckpointOverhead/default$"
+// and its cold build), the streaming reduction engine, the streamed
+// null calibration, and the span reduction checkpointing at the
+// fabric's default cadence.
+const defaultPins = "TransientTowThomasLinear$|SpiceCUTOutput$|SpiceTrialEngine$|SpiceTrialEngineBatch$|FaultTableSpice$|SignatureCaptureBatched$|ExactSignatureScratch$|AveragedNDFBatched$|CampaignReduce1M$|BankClassifyBatch$|BankClassifyPoint$|BankLUTBuild$|NoiseNullCalibration$|CheckpointOverhead/default$"
 
 func main() {
 	var (

@@ -3,8 +3,6 @@ package campaign
 import (
 	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/rng"
 )
@@ -23,16 +21,16 @@ type Engine struct {
 	// Progress, when non-nil, is invoked after every completed trial with
 	// the number of trials finished so far and the total trial count
 	// (Reduce ticks it once per completed chunk instead, with the
-	// cumulative trial count). It may be called concurrently from several
-	// workers and must not block; the reported count never decreases and
-	// it observes the run but never affects its results.
+	// cumulative trial count). Calls are serialized and must not block;
+	// the reported count strictly increases, and it observes the run but
+	// never affects its results.
 	Progress func(done, total int)
 	// Chunk is the number of trials one reduction chunk covers (Reduce
 	// only); <= 0 selects DefaultChunk. The chunk size is part of the
 	// result contract of a non-associative reduction: at a fixed chunk
 	// size the merged accumulator is bit-identical at any worker count,
 	// while different chunks may group floating-point folds
-	// differently. Run ignores it.
+	// differently. Run ignores it (it always dispatches single trials).
 	Chunk int
 	// Checkpoint is the trial count between checkpoint callbacks of a
 	// span reduction (ReduceSpanScratch with a CheckpointFunc); <= 0
@@ -63,8 +61,10 @@ func (e Engine) meter() Meter {
 // Trials that need randomness call this; the engine itself never draws.
 func (e Engine) Stream(i int) *rng.Stream { return rng.NewSub(e.Seed, uint64(i)) }
 
-// poolSize resolves the effective worker count for n trials.
-func (e Engine) poolSize(n int) int {
+// PoolSize resolves the effective worker count for n units of work
+// (trials, or chunks of a reduction): Workers, or runtime.NumCPU() when
+// unset, capped at n and at least one.
+func (e Engine) PoolSize(n int) int {
 	w := e.Workers
 	if w <= 0 {
 		w = runtime.NumCPU()
@@ -96,81 +96,25 @@ func Run[T any](ctx context.Context, e Engine, n int, trial func(i int) (T, erro
 // so trial fan-out does not multiply allocations. Scratch must not affect
 // results — a trial reading stale scratch contents would break the
 // worker-count independence the engine guarantees.
+//
+// It is the span [0, n) of the reduction engine at one trial per chunk,
+// with a reducer that stores each result in its indexed slot: dispatch
+// and Progress stay per trial, and the Meter is not consulted.
 func RunScratch[T, S any](ctx context.Context, e Engine, n int, newScratch func() S, trial func(i int, scratch S) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	out := make([]T, n)
-	errs := make([]error, n)
-	var done atomic.Int64
-	tick := func() {
-		d := done.Add(1)
-		if e.Progress != nil {
-			e.Progress(int(d), n)
-		}
+	e.Chunk, e.Meter = 1, nil
+	slots := Reducer[T, struct{}]{
+		Fold: func(acc struct{}, i int, v T) struct{} {
+			out[i] = v
+			return acc
+		},
+		Merge: func(into, _ struct{}) struct{} { return into },
 	}
-	workers := e.poolSize(n)
-	if workers == 1 {
-		scratch := newScratch()
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out[i], errs[i] = trial(i, scratch)
-			tick()
-		}
-		return collect(ctx, out, errs)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := newScratch()
-			for i := range next {
-				// A cancelled context stops the work, not the drain: the
-				// feeder may already have queued this index, so skip the
-				// trial but keep consuming until the channel closes.
-				if ctx.Err() != nil {
-					continue
-				}
-				out[i], errs[i] = trial(i, scratch)
-				tick()
-			}
-		}()
-	}
-	cancelled := false
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			cancelled = true
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if cancelled {
-		return nil, ctx.Err()
-	}
-	return collect(ctx, out, errs)
-}
-
-// collect returns the results, or the lowest-index trial error; a context
-// cancelled while the last trials were draining wins over partial output.
-func collect[T any](ctx context.Context, out []T, errs []error) ([]T, error) {
-	if err := ctx.Err(); err != nil {
+	if _, err := ReduceSpanScratch(ctx, e, Span{Lo: 0, Hi: n}, nil, nil, slots, newScratch, trial); err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

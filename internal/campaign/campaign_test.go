@@ -167,29 +167,36 @@ func TestRunCancelMidFlightPromptAndLeakFree(t *testing.T) {
 	}
 }
 
-// Progress reports every completed trial exactly once and ends at (n, n).
+// Progress reports every completed trial exactly once, in strictly
+// increasing counts ending at (n, n); a Meter on the same engine sees
+// nothing — per-trial observation in Run is Progress alone.
 func TestProgressReporting(t *testing.T) {
 	for _, workers := range []int{1, 3} {
-		var calls atomic.Int64
-		var sawFinal atomic.Bool
+		var mu sync.Mutex
+		var ticks []int
 		n := 50
-		_, err := Run(context.Background(), Engine{Workers: workers, Progress: func(done, total int) {
-			calls.Add(1)
+		m := newRecordingMeter()
+		_, err := Run(context.Background(), Engine{Workers: workers, Meter: m, Progress: func(done, total int) {
+			mu.Lock()
+			defer mu.Unlock()
 			if total != n {
 				t.Errorf("total = %d, want %d", total, n)
 			}
-			if done == n {
-				sawFinal.Store(true)
-			}
+			ticks = append(ticks, done)
 		}}, n, func(i int) (int, error) { return i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := calls.Load(); got != int64(n) {
-			t.Fatalf("workers=%d: %d progress calls, want %d", workers, got, n)
+		if len(ticks) != n {
+			t.Fatalf("workers=%d: %d progress calls, want %d", workers, len(ticks), n)
 		}
-		if !sawFinal.Load() {
-			t.Fatalf("workers=%d: final (n, n) progress call missing", workers)
+		for i, d := range ticks {
+			if d != i+1 {
+				t.Fatalf("workers=%d: call %d reported %d, want strictly increasing counts ending at %d", workers, i, d, n)
+			}
+		}
+		if m.startSeen || len(m.starts) != 0 || len(m.dones) != 0 {
+			t.Fatalf("workers=%d: meter observed Run (start=%v, %d chunk starts)", workers, m.startSeen, len(m.starts))
 		}
 	}
 }

@@ -33,9 +33,11 @@
 //
 // # Execution modes and durability
 //
-// Three entry-point families share the engine. Run/RunScratch
-// materialize every trial result in an indexed slot — O(trials) memory,
-// for campaigns that need per-trial output. Reduce/ReduceScratch
+// Three entry-point families share the engine's one worker pool, in
+// span.go. Run/RunScratch materialize every trial result in an indexed
+// slot — O(trials) memory, for campaigns that need per-trial output;
+// they are span reductions at one trial per chunk, whose fold writes
+// the slot. Reduce/ReduceScratch
 // stream: workers fold trial results into per-chunk accumulators merged
 // in chunk-index order, so memory stays O(workers + chunk) at any trial
 // count (see reduce.go). ReduceSpan/ReduceSpanScratch generalize the

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -121,10 +122,9 @@ func TestMeterClosesOnCancel(t *testing.T) {
 	const n, chunk = 100000, 32
 	m := newRecordingMeter()
 	ctx, cancel := context.WithCancel(context.Background())
-	count := 0
+	var count atomic.Int64
 	_, err := Reduce(ctx, Engine{Workers: 4, Chunk: chunk, Meter: m}, n, meterReducer, func(i int) (float64, error) {
-		count++
-		if count > 500 {
+		if count.Add(1) > 500 {
 			cancel()
 		}
 		return meterTrial(i)

@@ -125,28 +125,21 @@ func ReduceSpanScratch[T, A, S any](ctx context.Context, e Engine, span Span, in
 		}
 	}
 	n := span.Len()
-	// Progress is chunk-granular and strictly monotone: ticks are
-	// serialized under a mutex and delivered only when they advance the
-	// high-water mark, so an observer never sees the count decrease even
-	// when workers retire chunks out of order. One lock per chunk is
-	// noise next to a chunk's worth of trial work.
-	var done atomic.Int64
+	// Progress ticks once per chunk that folded any trial and is
+	// strictly monotone: the running count is advanced and reported under
+	// one mutex, so an observer never sees it decrease even when workers
+	// retire chunks out of order. One lock per chunk is noise next to a
+	// chunk's worth of trial work.
 	var progressMu sync.Mutex
-	reported := 0
+	done := 0
 	tick := func(trials int) {
-		if trials == 0 {
-			return
-		}
-		d := int(done.Add(int64(trials)))
-		if e.Progress == nil {
+		if trials == 0 || e.Progress == nil {
 			return
 		}
 		progressMu.Lock()
 		defer progressMu.Unlock()
-		if d > reported {
-			reported = d
-			e.Progress(d, n)
-		}
+		done += trials
+		e.Progress(done, n)
 	}
 	// runChunk folds chunk c's in-span trials in ascending index order
 	// into a fresh accumulator. On a trial error (or mid-chunk
@@ -189,7 +182,7 @@ func ReduceSpanScratch[T, A, S any](ctx context.Context, e Engine, span Span, in
 		return ckpt(acc, (c+1)*chunk)
 	}
 
-	workers := e.poolSize(nChunks)
+	workers := e.PoolSize(nChunks)
 	meter.ReduceStart(workers, n)
 	if workers == 1 {
 		scratch := newScratch()

@@ -177,12 +177,12 @@ func (b *Bank) MCEnvelopeCtx(ctx context.Context, mi int, variation mos.Variatio
 		xs[i] = float64(i) / float64(nCols-1)
 	}
 	eng.Seed = seed
-	// The reduction is the checkpointable envelope fold (envelope.go):
+	// The reduction is the streaming envelope fold (envelope.go):
 	// per-column boundary values appended in die order, chunks
 	// concatenated column-wise, so the merged envelope matches a serial
 	// run bit for bit.
 	ys, err = campaign.Reduce(ctx, eng, nDies,
-		envelopeReducer(nCols).Reducer,
+		envelopeReducer(nCols),
 		func(d int) ([]float64, error) {
 			die := variation.SampleDie(eng.Stream(d))
 			devs := a.Devices()

@@ -1,116 +1,33 @@
 package monitor
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/campaign"
 )
 
-// envelopeBlobMagic frames a serialized Monte-Carlo envelope
-// accumulator so a job log can never replay another campaign's blob
-// into an envelope merge.
-var envelopeBlobMagic = [4]byte{'M', 'C', 'E', '1'}
-
-// envelopeReducer is the checkpointable reduction behind MCEnvelopeCtx.
+// envelopeReducer is the streaming reduction behind MCEnvelopeCtx.
 // The accumulator is the envelope itself: per-column boundary values in
 // die order. Fold appends one die's crossings (skipping columns the die
 // never crossed); Merge concatenates chunks column-wise — chunk order
 // is die order, so the merged envelope matches a serial run bit for
-// bit, and shard accumulators concatenate exactly like chunks.
-//
-// The blob is magic "MCE1", a uvarint column count, then per column a
-// uvarint length and that many little-endian float64 bit patterns —
-// exact and canonical, so a restored accumulator resumes bit-identical.
-func envelopeReducer(nCols int) campaign.CheckpointReducer[[]float64, [][]float64] {
-	return campaign.CheckpointReducer[[]float64, [][]float64]{
-		Reducer: campaign.Reducer[[]float64, [][]float64]{
-			New: func() [][]float64 { return make([][]float64, nCols) },
-			Fold: func(acc [][]float64, _ int, col []float64) [][]float64 {
-				for i, y := range col {
-					if !math.IsNaN(y) {
-						acc[i] = append(acc[i], y)
-					}
+// bit.
+func envelopeReducer(nCols int) campaign.Reducer[[]float64, [][]float64] {
+	return campaign.Reducer[[]float64, [][]float64]{
+		New: func() [][]float64 { return make([][]float64, nCols) },
+		Fold: func(acc [][]float64, _ int, col []float64) [][]float64 {
+			for i, y := range col {
+				if !math.IsNaN(y) {
+					acc[i] = append(acc[i], y)
 				}
-				return acc
-			},
-			Merge: func(into, next [][]float64) [][]float64 {
-				for i := range into {
-					into[i] = append(into[i], next[i]...)
-				}
-				return into
-			},
+			}
+			return acc
 		},
-		Marshal: func(acc [][]float64) ([]byte, error) {
-			buf := append(make([]byte, 0, 64), envelopeBlobMagic[:]...)
-			buf = binary.AppendUvarint(buf, uint64(len(acc)))
-			for _, col := range acc {
-				buf = binary.AppendUvarint(buf, uint64(len(col)))
-				for _, y := range col {
-					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(y))
-				}
+		Merge: func(into, next [][]float64) [][]float64 {
+			for i := range into {
+				into[i] = append(into[i], next[i]...)
 			}
-			return buf, nil
-		},
-		Unmarshal: func(data []byte) ([][]float64, error) {
-			if len(data) < 4 {
-				return nil, errors.New("monitor: envelope blob: truncated magic")
-			}
-			if [4]byte(data[:4]) != envelopeBlobMagic {
-				return nil, errors.New("monitor: envelope blob: bad magic")
-			}
-			rest := data[4:]
-			cols, n := binary.Uvarint(rest)
-			if n <= 0 || n != uvarintLen(cols) {
-				return nil, errors.New("monitor: envelope blob: bad column count encoding")
-			}
-			rest = rest[n:]
-			if cols != uint64(nCols) {
-				return nil, fmt.Errorf("monitor: envelope blob: %d columns, want %d", cols, nCols)
-			}
-			acc := make([][]float64, nCols)
-			for i := range acc {
-				cnt, n := binary.Uvarint(rest)
-				// Padded uvarints decode but break the canonical-bytes
-				// contract; reject them like any other malformation.
-				if n <= 0 || n != uvarintLen(cnt) {
-					return nil, errors.New("monitor: envelope blob: bad column length encoding")
-				}
-				rest = rest[n:]
-				if cnt > uint64(len(rest))/8 {
-					return nil, fmt.Errorf("monitor: envelope blob: column %d claims %d values beyond the data", i, cnt)
-				}
-				if cnt == 0 {
-					continue
-				}
-				col := make([]float64, cnt)
-				for j := range col {
-					y := math.Float64frombits(binary.LittleEndian.Uint64(rest))
-					if math.IsNaN(y) {
-						return nil, errors.New("monitor: envelope blob: NaN boundary value")
-					}
-					col[j] = y
-					rest = rest[8:]
-				}
-				acc[i] = col
-			}
-			if len(rest) != 0 {
-				return nil, fmt.Errorf("monitor: envelope blob: %d trailing bytes", len(rest))
-			}
-			return acc, nil
+			return into
 		},
 	}
-}
-
-// uvarintLen is the length of v's minimal uvarint encoding; the decoder
-// uses it to reject padded (non-canonical) encodings.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }

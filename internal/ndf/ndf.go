@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"repro/internal/signature"
-	"repro/internal/stat"
 )
 
 // ErrPeriodMismatch is returned when the two signatures do not share a
@@ -211,7 +210,7 @@ func ThresholdFromNull(nullNDFs []float64, quantile float64) (Decision, error) {
 	}
 	for i, v := range nullNDFs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return Decision{}, fmt.Errorf("ndf: null sample %d of %d is %v, not a finite NDF", i, len(nullNDFs), v)
+			return Decision{}, NonFiniteNullError(i, len(nullNDFs), v)
 		}
 	}
 	sorted := append([]float64(nil), nullNDFs...)
@@ -225,27 +224,9 @@ func ThresholdFromNull(nullNDFs []float64, quantile float64) (Decision, error) {
 	return Decision{Threshold: sorted[i]*(1-f) + sorted[i+1]*f}, nil
 }
 
-// ThresholdFromSketch is ThresholdFromNull for a null distribution held
-// as a streaming quantile sketch instead of a materialized sample — the
-// form million-trial calibrations arrive in (per-worker sketches merged
-// by campaign.Reduce). The threshold carries the sketch's relative
-// error bound, except at quantile 1 where the sketch tracks the exact
-// maximum and the decision is bit-identical to the materializing path.
-// A sketch that absorbed NaN/Inf observations is rejected, matching
-// ThresholdFromNull's validation.
-func ThresholdFromSketch(s *stat.QuantileSketch, quantile float64) (Decision, error) {
-	if s == nil || s.N() == 0 {
-		return Decision{}, fmt.Errorf("ndf: empty null sample")
-	}
-	if quantile <= 0 || quantile > 1 {
-		return Decision{}, fmt.Errorf("ndf: quantile %g out of (0,1]", quantile)
-	}
-	if inv := s.Invalid(); inv > 0 {
-		return Decision{}, fmt.Errorf("ndf: %d of %d null samples are non-finite NDFs", inv, s.N())
-	}
-	thr, err := s.Quantile(quantile)
-	if err != nil {
-		return Decision{}, fmt.Errorf("ndf: null sketch quantile: %w", err)
-	}
-	return Decision{Threshold: thr}, nil
+// NonFiniteNullError is the error ThresholdFromNull returns for null
+// sample i of n holding the non-finite value v — shared with streamed
+// calibrations so both name the same sample in the same words.
+func NonFiniteNullError(i, n int, v float64) error {
+	return fmt.Errorf("ndf: null sample %d of %d is %v, not a finite NDF", i, n, v)
 }

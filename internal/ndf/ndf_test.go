@@ -9,7 +9,6 @@ import (
 	"repro/internal/biquad"
 	"repro/internal/monitor"
 	"repro/internal/signature"
-	"repro/internal/stat"
 	"repro/internal/wave"
 )
 
@@ -215,51 +214,6 @@ func TestThresholdFromNullRejectsNonFinite(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "finite") {
 			t.Fatalf("error %q does not name the non-finite value", err)
 		}
-	}
-}
-
-func TestThresholdFromSketch(t *testing.T) {
-	null := []float64{0.01, 0.02, 0.03, 0.04, 0.05}
-	s := stat.NewQuantileSketch(stat.DefaultSketchPrecision)
-	for _, v := range null {
-		s.Push(v)
-	}
-	// Quantile 1 is the tracked exact maximum: bit-identical to the
-	// materializing path, which is what keeps campaign thresholds exact
-	// above the streaming cutoff.
-	d, err := ThresholdFromSketch(s, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, _ := ThresholdFromNull(null, 1.0)
-	if d.Threshold != exact.Threshold {
-		t.Fatalf("sketch max-quantile threshold = %v, exact path = %v", d.Threshold, exact.Threshold)
-	}
-	// Interior quantiles agree within the sketch's documented relative
-	// error bound.
-	dm, err := ThresholdFromSketch(s, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	em, _ := ThresholdFromNull(null, 0.5)
-	if math.Abs(dm.Threshold-em.Threshold) > s.RelativeError()*em.Threshold {
-		t.Fatalf("sketch median %v vs exact %v exceeds relative error %v",
-			dm.Threshold, em.Threshold, s.RelativeError())
-	}
-	if _, err := ThresholdFromSketch(nil, 0.5); err == nil {
-		t.Fatal("nil sketch accepted")
-	}
-	if _, err := ThresholdFromSketch(stat.NewQuantileSketch(4), 0.5); err == nil {
-		t.Fatal("empty sketch accepted")
-	}
-	if _, err := ThresholdFromSketch(s, 1.5); err == nil {
-		t.Fatal("bad quantile accepted")
-	}
-	poisoned := stat.NewQuantileSketch(4)
-	poisoned.Push(0.1)
-	poisoned.Push(math.NaN())
-	if _, err := ThresholdFromSketch(poisoned, 1.0); err == nil {
-		t.Fatal("NaN-poisoned sketch accepted")
 	}
 }
 

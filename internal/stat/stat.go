@@ -226,7 +226,7 @@ func (r *Running) Push(x float64) {
 // parallel-variance combination (Chan et al.), so per-chunk moment
 // accumulators merged in stable index order give the same mean/variance
 // at any worker count — the streaming campaigns' merge discipline. The
-// combination is floating-point, so unlike the integer-count sketches
+// combination is floating-point, so unlike the integer-count histograms
 // it is only reproducible at a fixed chunk grouping (the same contract
 // every float fold under campaign.Reduce already carries).
 func (r *Running) Merge(o Running) {

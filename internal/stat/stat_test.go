@@ -347,3 +347,73 @@ func TestRunningAccessors(t *testing.T) {
 		t.Fatalf("StdDev = %v, want sqrt(2)", r.StdDev())
 	}
 }
+
+// mixedSample builds a deterministic mixed-sign heavy-tailed sample.
+func mixedSample(n int, seed uint64) []float64 {
+	r := testRand(seed)
+	xs := make([]float64, n)
+	for i := range xs {
+		u := r.float()
+		x := math.Exp(8*u - 4) // log-uniform over ~[0.018, 54]
+		switch i % 7 {
+		case 3:
+			x = -x
+		case 5:
+			x = 0
+		}
+		xs[i] = x
+	}
+	return xs
+}
+
+func TestRunningMergeMatchesWholeSample(t *testing.T) {
+	xs := mixedSample(999, 13)
+	var whole Running
+	for _, x := range xs {
+		whole.Push(x)
+	}
+	for _, chunks := range []int{1, 4, 8} {
+		var merged Running
+		size := (len(xs) + chunks - 1) / chunks
+		for c := 0; c < chunks; c++ {
+			var part Running
+			lo, hi := c*size, min((c+1)*size, len(xs))
+			for _, x := range xs[lo:hi] {
+				part.Push(x)
+			}
+			merged.Merge(part)
+		}
+		if merged.N() != whole.N() || merged.Min() != whole.Min() || merged.Max() != whole.Max() {
+			t.Fatalf("%d-chunk merge: n/min/max drifted", chunks)
+		}
+		if math.Abs(merged.Mean()-Mean(xs)) > 1e-12 {
+			t.Fatalf("%d-chunk merge mean %v vs exact %v", chunks, merged.Mean(), Mean(xs))
+		}
+		if math.Abs(merged.Variance()-Variance(xs)) > 1e-9 {
+			t.Fatalf("%d-chunk merge variance %v vs exact %v", chunks, merged.Variance(), Variance(xs))
+		}
+	}
+}
+
+// TestRunningMergeDeterministicAtFixedChunks pins bit-reproducibility
+// of the float merge at a fixed chunk grouping: merging the same parts
+// in the same order twice gives identical bits.
+func TestRunningMergeDeterministicAtFixedChunks(t *testing.T) {
+	xs := mixedSample(1000, 17)
+	run := func() (float64, float64) {
+		var m Running
+		for c := 0; c < 4; c++ {
+			var part Running
+			for _, x := range xs[c*250 : (c+1)*250] {
+				part.Push(x)
+			}
+			m.Merge(part)
+		}
+		return m.Mean(), m.Variance()
+	}
+	m1, v1 := run()
+	m2, v2 := run()
+	if m1 != m2 || v1 != v2 {
+		t.Fatal("fixed-grouping merge is not bit-reproducible")
+	}
+}

@@ -8,12 +8,16 @@ import (
 	"strings"
 )
 
+// ErrInvalidSample is returned by Quantile when the histogram holds NaN
+// observations — a quantile of a poisoned sample is meaningless.
+var ErrInvalidSample = errors.New("stat: histogram holds non-finite observations")
+
 // StreamingHistogram is the mergeable, single-pass counterpart of
 // Histogram: a fixed-range equal-bin histogram whose entire state is
 // integer counts, so Merge is exact, associative and commutative — the
-// same discipline as QuantileSketch, and what lets per-chunk (or
-// per-shard) histograms merged in stable index order reproduce the
-// single-stream histogram bit for bit at any worker count. The binning
+// discipline that lets per-chunk (or per-shard) histograms merged in
+// stable index order reproduce the single-stream histogram bit for bit
+// at any worker count. The binning
 // rule matches Histogram exactly: samples in [Lo, Hi) land in
 // int(bins*(x-Lo)/(Hi-Lo)) (clamped to the last bin), samples outside
 // count in Under/Over, so a streamed histogram over the same range is
@@ -87,8 +91,7 @@ func (h *StreamingHistogram) BinCenter(i int) float64 {
 	return h.lo + (float64(i)+0.5)*w
 }
 
-// Reset empties the histogram in place, keeping range and bins — the
-// pooled-accumulator hook, as on QuantileSketch.
+// Reset empties the histogram in place, keeping range and bins.
 func (h *StreamingHistogram) Reset() {
 	clear(h.counts)
 	h.under, h.over, h.invalid, h.n = 0, 0, 0, 0
@@ -178,7 +181,7 @@ func (h *StreamingHistogram) ASCII(width int) string {
 	return b.String()
 }
 
-// Binary encoding, mirroring the sketch's canonical sparse form:
+// Binary encoding, a canonical sparse form:
 //
 //	magic "SHG1" | lo, hi float64 bits | bins uvarint | n, under,
 //	over, invalid uvarint | pairs uvarint | (index delta uvarint,
@@ -205,10 +208,10 @@ func (h *StreamingHistogram) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler, with the same
-// validation contract as the sketch decoder: arbitrary bytes either
-// decode into a fully consistent histogram or fail with a descriptive
-// error — never a panic, never a silently inconsistent value.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. Arbitrary
+// bytes either decode into a fully consistent histogram or fail with a
+// descriptive error — never a panic, never a silently inconsistent
+// value.
 func (h *StreamingHistogram) UnmarshalBinary(data []byte) error {
 	r := &byteReader{data: data}
 	var magic [4]byte
@@ -260,4 +263,118 @@ func (h *StreamingHistogram) UnmarshalBinary(data []byte) error {
 	}
 	*h = *out
 	return nil
+}
+
+// appendSparse emits the non-zero (delta-coded index, count) pairs of a
+// dense count array, preceded by the pair count.
+func appendSparse(buf []byte, counts []uint64) []byte {
+	pairs := 0
+	for _, c := range counts {
+		if c != 0 {
+			pairs++
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(pairs))
+	prev := 0
+	for i, c := range counts {
+		if c == 0 {
+			continue
+		}
+		buf = binary.AppendUvarint(buf, uint64(i-prev))
+		buf = binary.AppendUvarint(buf, c)
+		prev = i
+	}
+	return buf
+}
+
+// readSparseCounts decodes one canonical sparse (delta-coded index,
+// count) pair list into a dense array of the given size — allocated
+// only when pairs exist — returning the array (nil when empty) and the
+// summed counts.
+func readSparseCounts(r *byteReader, size int) ([]uint64, uint64, error) {
+	pairs, err := r.uvarint()
+	if err != nil {
+		return nil, 0, err
+	}
+	if pairs == 0 {
+		return nil, 0, nil
+	}
+	if pairs > uint64(size) {
+		return nil, 0, fmt.Errorf("%d pairs exceed %d buckets", pairs, size)
+	}
+	dst := make([]uint64, size)
+	idx := -1
+	var sum uint64
+	for p := uint64(0); p < pairs; p++ {
+		delta, err := r.uvarint()
+		if err != nil {
+			return nil, 0, err
+		}
+		count, err := r.uvarint()
+		if err != nil {
+			return nil, 0, err
+		}
+		if count == 0 {
+			return nil, 0, errors.New("zero count pair breaks canonical form")
+		}
+		step := int(delta)
+		if p == 0 {
+			idx = step
+		} else {
+			if delta == 0 {
+				return nil, 0, errors.New("duplicate bucket index")
+			}
+			if step < 0 {
+				return nil, 0, errors.New("bucket index overflow")
+			}
+			idx += step
+		}
+		if idx < 0 || idx >= size {
+			return nil, 0, fmt.Errorf("bucket index %d out of %d", idx, size)
+		}
+		next := sum + count
+		if next < sum {
+			return nil, 0, errors.New("count overflow")
+		}
+		sum = next
+		dst[idx] = count
+	}
+	return dst, sum, nil
+}
+
+// byteReader is a minimal bounds-checked cursor over a byte slice —
+// enough for the histogram decoder without pulling in
+// bytes.Reader's error paths.
+type byteReader struct {
+	data []byte
+	off  int
+}
+
+func (r *byteReader) len() int { return len(r.data) - r.off }
+
+func (r *byteReader) bytes(dst []byte) error {
+	if r.len() < len(dst) {
+		return errors.New("truncated")
+	}
+	copy(dst, r.data[r.off:])
+	r.off += len(dst)
+	return nil
+}
+
+func (r *byteReader) uint64() (uint64, error) {
+	if r.len() < 8 {
+		return 0, errors.New("truncated")
+	}
+	v := binary.LittleEndian.Uint64(r.data[r.off:])
+	r.off += 8
+	return v, nil
+}
+
+func (r *byteReader) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.data[r.off:])
+	if n <= 0 {
+		return 0, errors.New("bad uvarint")
+	}
+	r.off += n
+	return v, nil
 }

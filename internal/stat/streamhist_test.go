@@ -6,6 +6,24 @@ import (
 	"testing"
 )
 
+// testRand is a tiny deterministic splitmix64 stream so the histogram
+// tests never depend on global randomness (the same discipline the
+// campaign engine enforces).
+type testRand uint64
+
+func (r *testRand) next() uint64 {
+	*r += 0x9e3779b97f4a7c15
+	z := uint64(*r)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// float returns a deterministic float64 in [0, 1).
+func (r *testRand) float() float64 {
+	return float64(r.next()>>11) / float64(1<<53)
+}
+
 func streamHistSample(n int, seed uint64) []float64 {
 	r := testRand(seed)
 	xs := make([]float64, n)

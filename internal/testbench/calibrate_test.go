@@ -4,154 +4,174 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/ndf"
-	"repro/internal/stat"
 )
 
 // synthNullTrial is a deterministic, allocation-free stand-in for a
-// noisy golden NDF measurement: a pure function of the trial index with
-// enough spread to occupy many sketch buckets. Using it instead of a
-// real simulator isolates the calibration engine's own memory and
+// noisy golden NDF measurement: a pure function of the trial index that
+// permutes its values within blocks of 9973 trials, so the maximum sits
+// mid-run rather than at the last trial. Using it instead of a real
+// simulator isolates the calibration engine's own memory and
 // determinism properties from the trial cost.
 func synthNullTrial(i int, _ *core.TrialScratch) (float64, error) {
-	return 0.01 + float64(i%9973)*1.3e-5, nil
+	return 0.01 + float64((i*7919)%9973)*1.3e-5, nil
 }
 
-// The streamed (sketch) calibration is bit-identical to the exact
-// materializing path: the threshold is the null maximum, which the
-// sketch tracks exactly, so crossing ExactNullCutoff never moves a
-// decision.
+// materializedThreshold is the reference calibration: every null NDF
+// collected, then ndf.ThresholdFromNull at quantile 1.
+func materializedThreshold(t *testing.T, n int, trial func(int, *core.TrialScratch) (float64, error)) (ndf.Decision, error) {
+	t.Helper()
+	nulls, err := campaign.RunScratch(context.Background(), campaign.Engine{Workers: 1}, n, core.NewTrialScratch, trial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ndf.ThresholdFromNull(nulls, 1.0)
+}
+
+// A calibration large enough to have taken the former quantile-sketch
+// path (more than 4096 null trials) is exactly the materialized
+// threshold: the streamed max moves no decision.
 func TestCalibrateNullThresholdSketchMatchesExact(t *testing.T) {
-	ctx := context.Background()
-	const n = ExactNullCutoff + 1000 // force the sketch path
+	const n = 4096 + 1000
 	eng := campaign.Engine{Workers: 2, Seed: 3}
-	dec, err := CalibrateNullThreshold(ctx, eng, n, 0, synthNullTrial)
+	dec, err := CalibrateNullThreshold(context.Background(), eng, n, 0, synthNullTrial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nulls, err := campaign.RunScratch(ctx, eng, n, core.NewTrialScratch, synthNullTrial)
+	want, err := materializedThreshold(t, n, synthNullTrial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ndf.ThresholdFromNull(nulls, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Threshold != exact.Threshold {
-		t.Fatalf("sketch threshold %v != exact threshold %v", dec.Threshold, exact.Threshold)
-	}
-	// The agreement guarantee for interior quantiles is the sketch's
-	// documented relative error; pin it too so the bound stays honest.
-	sk := stat.NewQuantileSketch(stat.DefaultSketchPrecision)
-	for _, v := range nulls {
-		sk.Push(v)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		got, err := sk.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := stat.Quantile(nulls, q)
-		if math.Abs(got-want) > sk.RelativeError()*math.Abs(want) {
-			t.Fatalf("q %v: sketch %v vs exact %v exceeds documented bound %v",
-				q, got, want, sk.RelativeError())
-		}
+	if math.Float64bits(dec.Threshold) != math.Float64bits(want.Threshold) {
+		t.Fatalf("streamed threshold %v != exact threshold %v", dec.Threshold, want.Threshold)
 	}
 }
 
-// Threshold decisions are bit-identical at 1, 4 and 8 workers, on both
-// sides of the cutoff.
+// The streamed calibration equals the materialized max-quantile
+// threshold bit for bit, on both sides of every chunk-size boundary and
+// at 1, 2, 4 and 8 workers.
 func TestCalibrateNullThresholdWorkerInvariant(t *testing.T) {
 	ctx := context.Background()
-	for _, n := range []int{ExactNullCutoff / 2, ExactNullCutoff + 1000} {
-		ref, err := CalibrateNullThreshold(ctx, campaign.Engine{Workers: 1, Seed: 5}, n, 0, synthNullTrial)
+	for _, n := range []int{1, 20, 4096, 4097, 4608, 100_000} {
+		want, err := materializedThreshold(t, n, synthNullTrial)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{4, 8} {
+		for _, w := range []int{1, 2, 4, 8} {
 			dec, err := CalibrateNullThreshold(ctx, campaign.Engine{Workers: w, Seed: 5}, n, 0, synthNullTrial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if dec.Threshold != ref.Threshold {
-				t.Fatalf("n=%d workers=%d: threshold %v != 1-worker threshold %v", n, w, dec.Threshold, ref.Threshold)
+			if math.Float64bits(dec.Threshold) != math.Float64bits(want.Threshold) {
+				t.Fatalf("n=%d workers=%d: threshold %v, materialized %v", n, w, dec.Threshold, want.Threshold)
 			}
 		}
 	}
 }
 
-// A NaN measurement fails calibration with a descriptive error on both
-// paths instead of silently poisoning the threshold.
+// Non-finite null measurements fail calibration with the materialized
+// path's error for the lowest-index one, whichever of NaN and +Inf comes
+// first and however the trials are split across workers.
 func TestCalibrateNullThresholdRejectsNaN(t *testing.T) {
 	ctx := context.Background()
-	poison := func(i int, _ *core.TrialScratch) (float64, error) {
-		if i == 17 {
-			return math.NaN(), nil
+	for _, tc := range []struct{ n, nanAt, infAt int }{
+		{20, 3, 15},
+		{20, 15, 3},
+		{4608, 2500, 700},
+		{4608, 700, 2500},
+	} {
+		poison := func(i int, sc *core.TrialScratch) (float64, error) {
+			switch i {
+			case tc.nanAt:
+				return math.NaN(), nil
+			case tc.infAt:
+				return math.Inf(1), nil
+			}
+			return synthNullTrial(i, sc)
 		}
-		return 0.01, nil
-	}
-	for _, n := range []int{100, ExactNullCutoff + 100} {
-		if _, err := CalibrateNullThreshold(ctx, campaign.Engine{Workers: 2, Seed: 1}, n, 0, poison); err == nil {
-			t.Fatalf("n=%d: NaN null measurement accepted", n)
+		_, want := materializedThreshold(t, tc.n, poison)
+		if want == nil {
+			t.Fatal("materialized path accepted a non-finite null sample")
+		}
+		for _, w := range []int{1, 2, 4, 8} {
+			_, err := CalibrateNullThreshold(ctx, campaign.Engine{Workers: w, Seed: 1}, tc.n, 0, poison)
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("n=%d NaN@%d +Inf@%d workers=%d: error %v, want %q", tc.n, tc.nanAt, tc.infAt, w, err, want)
+			}
 		}
 	}
 }
 
-// An out-of-range sketch precision is rejected up front.
+// A non-zero sketch precision is rejected: the calibration is exact and
+// has nothing to tune.
 func TestCalibrateNullThresholdBadPrecision(t *testing.T) {
-	_, err := CalibrateNullThreshold(context.Background(), campaign.Engine{Workers: 1}, ExactNullCutoff+1, 99, synthNullTrial)
-	if err == nil {
-		t.Fatal("precision 99 accepted")
+	for _, prec := range []int{-1, 6, 99} {
+		if _, err := CalibrateNullThreshold(context.Background(), campaign.Engine{Workers: 1}, 20, prec, synthNullTrial); err == nil {
+			t.Fatalf("sketch precision %d accepted", prec)
+		}
 	}
 }
 
-// The memory pin of the streaming calibration, in the style of
-// campaign.TestReduceFlatMemoryAt10kVs1M: total allocation at 1M null
-// trials is a small multiple of 100k trials (O(workers+chunk+sketch),
-// pooled chunk sketches), and an order of magnitude under what the
-// materializing path allocates for the same million trials.
+// chunkMeter records the pool size and the trials of every chunk a
+// reduction folds.
+type chunkMeter struct {
+	mu      sync.Mutex
+	workers int
+	chunks  map[int]int
+}
+
+func (m *chunkMeter) ReduceStart(workers, _ int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.workers = workers
+}
+
+func (m *chunkMeter) ChunkStart(int) {}
+
+func (m *chunkMeter) ChunkDone(chunk, trials int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.chunks[chunk] += trials
+}
+
+// A calibration sizes its chunks so every worker of the pool gets one:
+// at two workers, 20 null trials split 10 + 10 and 4608 split 2304 +
+// 2304 rather than landing in one serial DefaultChunk.
+func TestCalibrateNullThresholdSpreadsChunks(t *testing.T) {
+	for _, n := range []int{20, 4608} {
+		m := &chunkMeter{chunks: map[int]int{}}
+		if _, err := CalibrateNullThreshold(context.Background(), campaign.Engine{Workers: 2, Meter: m}, n, 0, synthNullTrial); err != nil {
+			t.Fatal(err)
+		}
+		m.mu.Lock()
+		if m.workers != 2 || len(m.chunks) != 2 || m.chunks[0] != n/2 || m.chunks[1] != n/2 {
+			t.Fatalf("n=%d: pool %d, chunks %v; want 2 workers folding 2 chunks of %d", n, m.workers, m.chunks, n/2)
+		}
+		m.mu.Unlock()
+	}
+}
+
+// The memory pin of the streamed calibration: a million null trials
+// allocate under 64 KiB in total — per-worker scratch and the engine's
+// bookkeeping, nothing per trial — where the materialized sample alone
+// would take 8 MB.
 func TestNoiseCalibrationFlatMemory(t *testing.T) {
 	ctx := context.Background()
-	alloc := func(run func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := CalibrateNullThreshold(ctx, campaign.Engine{Workers: 4, Seed: 2}, 1_000_000, 0, synthNullTrial); err != nil {
+		t.Fatal(err)
 	}
-	calibBytes := func(n int) uint64 {
-		return alloc(func() {
-			if _, err := CalibrateNullThreshold(ctx, campaign.Engine{Workers: 4, Seed: 2}, n, 0, synthNullTrial); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	small := calibBytes(100_000)
-	big := calibBytes(1_000_000)
-	t.Logf("streamed calibration allocated %d B at 100k trials, %d B at 1M trials", small, big)
-	if big > 10*small+1<<20 {
-		t.Fatalf("streamed calibration memory scales with trials: %d B at 100k vs %d B at 1M", small, big)
-	}
-	materialized := alloc(func() {
-		nulls, err := campaign.RunScratch(ctx, campaign.Engine{Workers: 4, Seed: 2}, 1_000_000, core.NewTrialScratch, synthNullTrial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ndf.ThresholdFromNull(nulls, 1.0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("materializing calibration allocated %d B at 1M trials", materialized)
-	if materialized < 8*1_000_000 {
-		t.Fatalf("materializing path allocated only %d B for 1M trials — accounting broken?", materialized)
-	}
-	if big >= materialized/10 {
-		t.Fatalf("streamed calibration (%d B) not an order of magnitude under materializing (%d B) at 1M trials",
-			big, materialized)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("streamed calibration allocated %d B at 1M trials", got)
+	if got > 64<<10 {
+		t.Fatalf("streamed calibration allocated %d B at 1M trials, want < 64 KiB", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/biquad"
 	"repro/internal/ndf"
-	"repro/internal/stat"
 )
 
 // This file is the campaign registry's catalogue: every experiment driver
@@ -69,16 +68,12 @@ type Fig8Params struct {
 	Tol    float64 `json:"tol"`
 }
 
-// NoiseParams configures the "noise" campaign. SketchPrec is the
-// quantile-sketch precision used when NullTrials exceeds
-// testbench.ExactNullCutoff and the null calibration streams (0 picks
-// stat.DefaultSketchPrecision); below the cutoff it is unused.
+// NoiseParams configures the "noise" campaign.
 type NoiseParams struct {
 	Sigma      float64   `json:"sigma"`
 	Devs       []float64 `json:"devs"`
 	NullTrials int       `json:"null_trials"`
 	Trials     int       `json:"trials"`
-	SketchPrec int       `json:"sketch_prec,omitempty"`
 }
 
 // Validate bounds the noise campaign's trial knobs.
@@ -92,34 +87,19 @@ func (p *NoiseParams) Validate() error {
 	if p.Sigma < 0 {
 		return fmt.Errorf("negative sigma %v", p.Sigma)
 	}
-	return validateSketchPrec(p.SketchPrec)
+	return nil
 }
 
-// NoiseSweepParams configures the "noisesweep" campaign. SketchPrec is
-// as in NoiseParams, applied to each per-sigma null calibration.
+// NoiseSweepParams configures the "noisesweep" campaign.
 type NoiseSweepParams struct {
-	Sigmas     []float64 `json:"sigmas"`
-	DevGrid    []float64 `json:"dev_grid"`
-	Trials     int       `json:"trials"`
-	SketchPrec int       `json:"sketch_prec,omitempty"`
+	Sigmas  []float64 `json:"sigmas"`
+	DevGrid []float64 `json:"dev_grid"`
+	Trials  int       `json:"trials"`
 }
 
 // Validate bounds the sweep's per-point trial count.
 func (p *NoiseSweepParams) Validate() error {
-	if err := validateTrials("trials", p.Trials); err != nil {
-		return err
-	}
-	return validateSketchPrec(p.SketchPrec)
-}
-
-// validateSketchPrec is the shared sketch-precision bound: 0 (use the
-// default) or a valid stat.NewQuantileSketch precision.
-func validateSketchPrec(prec int) error {
-	if prec != 0 && (prec < stat.MinSketchPrecision || prec > stat.MaxSketchPrecision) {
-		return fmt.Errorf("sketch_prec = %d, want 0 (default) or %d..%d",
-			prec, stat.MinSketchPrecision, stat.MaxSketchPrecision)
-	}
-	return nil
+	return validateTrials("trials", p.Trials)
 }
 
 // FaultsParams configures the "faults" campaign. A nil Threshold
@@ -309,7 +289,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return runNoiseDetection(ctx, sys, p.Sigma, p.Devs, p.NullTrials, p.Trials, p.SketchPrec, ev.Seed(), ev.Engine())
+			return runNoiseDetection(ctx, sys, p.Sigma, p.Devs, p.NullTrials, p.Trials, ev.Seed(), ev.Engine())
 		})
 
 	register("noisesweep", "minimum detectable deviation as a function of noise sigma",
@@ -319,7 +299,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return runNoiseSweep(ctx, sys, p.Sigmas, p.DevGrid, p.Trials, p.SketchPrec, ev.Seed(), ev.Engine())
+			return runNoiseSweep(ctx, sys, p.Sigmas, p.DevGrid, p.Trials, ev.Seed(), ev.Engine())
 		})
 
 	register("faults", "component-level fault campaign (parametric drifts, opens, shorts)",

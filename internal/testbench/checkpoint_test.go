@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/biquad"
-	"repro/internal/ndf"
 )
 
 func TestYieldBlobRoundTrip(t *testing.T) {
@@ -54,28 +53,6 @@ func TestYieldBlobRejectsMalformed(t *testing.T) {
 		append([]byte("MCY1"), 0, 5, 6, 0),
 	}
 	for i, data := range bad {
-		if _, err := red.Unmarshal(data); err == nil {
-			t.Errorf("case %d: malformed blob accepted", i)
-		}
-	}
-}
-
-func TestDetectBlobRoundTrip(t *testing.T) {
-	red := detectReducer(ndf.Decision{Threshold: 0.5})
-	for _, acc := range []int{0, 1, 123456789} {
-		blob, err := red.Marshal(acc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := red.Unmarshal(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != acc {
-			t.Fatalf("round trip %d -> %d", acc, got)
-		}
-	}
-	for i, data := range [][]byte{nil, []byte("MCD1"), []byte("MCY1\x05"), append([]byte("MCD1\x05"), 9)} {
 		if _, err := red.Unmarshal(data); err == nil {
 			t.Errorf("case %d: malformed blob accepted", i)
 		}

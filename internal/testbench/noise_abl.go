@@ -56,12 +56,10 @@ func RunNoiseDetection(sys *core.System, sigma float64, devs []float64, nullTria
 // the worker as a pure function of (seed, phase base + trial index) via
 // Engine.Stream — no serial stream pre-pass. Every phase streams
 // through the reduction engine with O(workers + chunk) memory: the
-// rate-estimation phases as pure counts, the null calibration via
-// CalibrateNullThreshold (exact below ExactNullCutoff, pooled quantile
-// sketches above — bit-identical either way because the threshold is
-// the null maximum, which the sketch tracks exactly). Million-trial
-// specs therefore run flat-heap end to end.
-func runNoiseDetection(ctx context.Context, sys *core.System, sigma float64, devs []float64, nullTrials, trials, sketchPrec int, seed uint64, eng campaign.Engine) (*Noise, error) {
+// rate-estimation phases as pure counts, the null calibration as the
+// exact streamed maximum of CalibrateNullThreshold. Million-trial specs
+// therefore run flat-heap end to end.
+func runNoiseDetection(ctx context.Context, sys *core.System, sigma float64, devs []float64, nullTrials, trials int, seed uint64, eng campaign.Engine) (*Noise, error) {
 	const periods = 5
 	eng.Seed = seed
 	// trialAt builds the per-trial measurement for one deviation: the
@@ -81,7 +79,7 @@ func runNoiseDetection(ctx context.Context, sys *core.System, sigma float64, dev
 	if err != nil {
 		return nil, err
 	}
-	dec, err := CalibrateNullThreshold(ctx, eng, nullTrials, sketchPrec, nullTrial)
+	dec, err := CalibrateNullThreshold(ctx, eng, nullTrials, 0, nullTrial)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +93,7 @@ func runNoiseDetection(ctx context.Context, sys *core.System, sigma float64, dev
 			return 0, err
 		}
 		return campaign.ReduceScratch(ctx, eng, trials,
-			detectReducer(dec).Reducer, core.NewTrialScratch, trial)
+			detectReducer(dec), core.NewTrialScratch, trial)
 	}
 	// Fresh nulls for the false-alarm estimate.
 	fa, err := detectCount(0, phaseBase(1))
@@ -115,6 +113,23 @@ func runNoiseDetection(ctx context.Context, sys *core.System, sigma float64, dev
 		out.DetectHi = append(out.DetectHi, hi)
 	}
 	return out, nil
+}
+
+// detectReducer counts trials whose averaged NDF fails the decision —
+// the accumulator shape every detection-rate phase of the noise
+// campaigns shares. Integer merges are exact, so the streamed count is
+// bit-identical to the materialized one at any chunk size and worker
+// count.
+func detectReducer(dec ndf.Decision) campaign.Reducer[float64, int] {
+	return campaign.Reducer[float64, int]{
+		Fold: func(acc int, _ int, v float64) int {
+			if !dec.Pass(v) {
+				acc++
+			}
+			return acc
+		},
+		Merge: func(into, next int) int { return into + next },
+	}
 }
 
 // phaseBase gives measurement phase p its own disjoint stream-id space.

@@ -45,12 +45,11 @@ func RunNoiseSweep(sys *core.System, sigmas, devGrid []float64, trials int, seed
 
 // runNoiseSweep is the registry implementation behind RunNoiseSweep.
 // As in runNoiseDetection, every phase streams: detection probes as
-// pure counts, per-sigma null calibration through
-// CalibrateNullThreshold (exact below ExactNullCutoff, pooled quantile
-// sketches above), and all trial streams are derived inside the
-// workers — the sweep holds O(workers + chunk + sketch) whatever the
-// trial count.
-func runNoiseSweep(ctx context.Context, sys *core.System, sigmas, devGrid []float64, trials, sketchPrec int, seed uint64, eng campaign.Engine) (*NoiseSweep, error) {
+// pure counts, per-sigma null calibration as the exact streamed maximum
+// of CalibrateNullThreshold, and all trial streams are derived inside
+// the workers — the sweep holds O(workers + chunk) whatever the trial
+// count.
+func runNoiseSweep(ctx context.Context, sys *core.System, sigmas, devGrid []float64, trials int, seed uint64, eng campaign.Engine) (*NoiseSweep, error) {
 	const periods = 3
 	out := &NoiseSweep{Sigmas: sigmas, Periods: periods, Trials: trials}
 	eng.Seed = seed
@@ -84,7 +83,7 @@ func runNoiseSweep(ctx context.Context, sys *core.System, sigmas, devGrid []floa
 		if err != nil {
 			return nil, err
 		}
-		dec, err := CalibrateNullThreshold(ctx, eng, trials, sketchPrec, nullTrial)
+		dec, err := CalibrateNullThreshold(ctx, eng, trials, 0, nullTrial)
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +97,7 @@ func runNoiseSweep(ctx context.Context, sys *core.System, sigmas, devGrid []floa
 				return nil, err
 			}
 			det, err := campaign.ReduceScratch(ctx, eng, trials,
-				detectReducer(dec).Reducer, core.NewTrialScratch, trial)
+				detectReducer(dec), core.NewTrialScratch, trial)
 			if err != nil {
 				return nil, err
 			}

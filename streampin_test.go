@@ -165,3 +165,25 @@ func TestYieldCampaignFlatHeap(t *testing.T) {
 		t.Fatalf("peak heap grew %d B over 4x the dies — campaign memory scales with trials", big-small)
 	}
 }
+
+// NOISE-CALIB-1M: the streamed null calibration at a million synthetic
+// trials — one exact running max over the reduction engine, with chunks
+// sized to the pool. The allocation column is the O(workers) story:
+// nothing is kept per trial, pinned under 64 KiB by
+// testbench.TestNoiseCalibrationFlatMemory.
+func BenchmarkNoiseNullCalibration(b *testing.B) {
+	ctx := context.Background()
+	trial := func(i int, _ *core.TrialScratch) (float64, error) {
+		return 0.01 + float64(i%9973)*1.3e-5, nil
+	}
+	b.ReportAllocs()
+	var thr float64
+	for i := 0; i < b.N; i++ {
+		dec, err := testbench.CalibrateNullThreshold(ctx, campaign.Engine{Workers: 4, Seed: 2}, 1_000_000, 0, trial)
+		if err != nil {
+			b.Fatal(err)
+		}
+		thr = dec.Threshold
+	}
+	b.ReportMetric(thr, "threshold")
+}
