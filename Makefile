@@ -100,18 +100,16 @@ bench-smoke:
 	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|ExactSignatureScratch|AveragedNDF|BankClassify|BankLUTBuild|RegistryDispatch|CampaignReduce1M|CampaignRun1M|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
 
 # Short-budget fuzz pass over the SPICE netlist parser, the signature
-# binary decoder, the trial-template mutation engine, the streaming
-# histogram codec, the fabric job-log replay and the shard accumulator
-# codecs (seed corpora are checked in under testdata/fuzz). Each target
-# gets 10s — enough to exercise the mutator on every seed class without
-# blowing the CI budget. `go test -fuzz` accepts one target per
+# binary decoder, the trial-template mutation engine, the fabric job-log
+# replay and the shard accumulator codecs (seed corpora are checked in
+# under testdata/fuzz). Each target gets 10s — enough to exercise the
+# mutator on every seed class without blowing the CI budget. `go test -fuzz` accepts one target per
 # invocation, hence the per-target runs.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzParseValue$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzTemplateMutation$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzUnmarshalBinary$$' -fuzztime=10s ./internal/signature
-	$(GO) test -run=^$$ -fuzz='^FuzzStreamingHistogramUnmarshal$$' -fuzztime=10s ./internal/stat
 	$(GO) test -run=^$$ -fuzz='^FuzzJobLogReplay$$' -fuzztime=10s ./internal/fabric
 	$(GO) test -run=^$$ -fuzz='^FuzzShardBlobUnmarshal$$' -fuzztime=10s ./internal/testbench
 

@@ -25,12 +25,21 @@ import (
 	"repro/internal/zone"
 )
 
+// runAs runs a spec through testbench.Run and returns its typed payload.
+func runAs[R any](spec testbench.Spec, opts ...testbench.Option) (*R, error) {
+	res, err := testbench.Run(context.Background(), spec, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return res.Payload.(*R), nil
+}
+
 // FIG1: Lissajous composition, nominal vs +10% f0 (Fig. 1).
 func BenchmarkFig1Lissajous(b *testing.B) {
 	sys := core.Default()
 	var maxDev float64
 	for i := 0; i < b.N; i++ {
-		f, err := testbench.RunFig1(sys, 0.10, 512)
+		f, err := runAs[testbench.Fig1](testbench.Spec{Campaign: "fig1", Params: testbench.Fig1Params{Shift: 0.10, Points: 512}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +77,7 @@ func BenchmarkTable1Configs(b *testing.B) {
 // (one MNA-extracted boundary point per iteration) next to the analytic
 // family.
 func BenchmarkFig4Boundaries(b *testing.B) {
-	f, err := testbench.RunFig4(41)
+	f, err := runAs[testbench.Fig4](testbench.Spec{Campaign: "fig4", Params: testbench.Fig4Params{Points: 41}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,7 +106,7 @@ func BenchmarkFig4Boundaries(b *testing.B) {
 func BenchmarkFig4MonteCarlo(b *testing.B) {
 	var inside float64
 	for i := 0; i < b.N; i++ {
-		env, err := testbench.RunFig4MC(2, 60, 15, 7)
+		env, err := runAs[testbench.Fig4MC](testbench.Spec{Campaign: "fig4mc", Seed: 7, Params: testbench.Fig4MCParams{Monitor: 2, Dies: 60, Cols: 15}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +136,7 @@ func BenchmarkFig7Chronogram(b *testing.B) {
 	sys := core.Default()
 	var v float64
 	for i := 0; i < b.N; i++ {
-		f, err := testbench.RunFig7(sys, 0.10, 400)
+		f, err := runAs[testbench.Fig7](testbench.Spec{Campaign: "fig7", Params: testbench.Fig7Params{Shift: 0.10, Points: 400}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +151,7 @@ func BenchmarkFig8NDFSweep(b *testing.B) {
 	sys := core.Default()
 	var left, right float64
 	for i := 0; i < b.N; i++ {
-		f, err := testbench.RunFig8(sys, 0.20, 9, 0.05)
+		f, err := runAs[testbench.Fig8](testbench.Spec{Campaign: "fig8", Params: testbench.Fig8Params{MaxDev: 0.20, Points: 9, Tol: 0.05}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +166,7 @@ func BenchmarkNoiseDetection(b *testing.B) {
 	sys := core.Default()
 	var det1 float64
 	for i := 0; i < b.N; i++ {
-		n, err := testbench.RunNoiseDetection(sys, 0.005, []float64{0.01}, 8, 8, 42)
+		n, err := runAs[testbench.Noise](testbench.Spec{Campaign: "noise", Seed: 42, Params: testbench.NoiseParams{Sigma: 0.005, Devs: []float64{0.01}, NullTrials: 8, Trials: 8}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +180,7 @@ func BenchmarkAblationLinearZoning(b *testing.B) {
 	sys := core.Default()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		a, err := testbench.RunAblLinear(sys, []float64{-0.10, 0.10})
+		a, err := runAs[testbench.AblLinear](testbench.Spec{Campaign: "linear", Params: testbench.LinearParams{Devs: []float64{-0.10, 0.10}}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +194,7 @@ func BenchmarkAblationCounter(b *testing.B) {
 	sys := core.Default()
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		a, err := testbench.RunAblCounter(sys, 0.10, []int{8, 16}, []float64{1e6, 10e6})
+		a, err := runAs[testbench.AblCounter](testbench.Spec{Campaign: "counter", Params: testbench.CounterParams{Shift: 0.10, Bits: []int{8, 16}, Clocks: []float64{1e6, 10e6}}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,9 +215,7 @@ func BenchmarkAblationRegression(b *testing.B) {
 	sys := core.Default()
 	var rmse float64
 	for i := 0; i < b.N; i++ {
-		a, err := testbench.RunAblRegression(sys,
-			[]float64{-0.20, -0.15, -0.10, -0.06, -0.03, 0, 0.03, 0.06, 0.10, 0.15, 0.20},
-			[]float64{-0.12, -0.04, 0.07, 0.12})
+		a, err := runAs[testbench.AblRegression](testbench.Spec{Campaign: "regress", Params: testbench.RegressParams{TrainDevs: []float64{-0.20, -0.15, -0.10, -0.06, -0.03, 0, 0.03, 0.06, 0.10, 0.15, 0.20}, TestDevs: []float64{-0.12, -0.04, 0.07, 0.12}}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -222,7 +229,7 @@ func BenchmarkExtensionQVerification(b *testing.B) {
 	sys := core.Default()
 	var bp20 float64
 	for i := 0; i < b.N; i++ {
-		e, err := testbench.RunExtQ(sys, []float64{0.20})
+		e, err := runAs[testbench.ExtQ](testbench.Spec{Campaign: "q", Params: testbench.QParams{Devs: []float64{0.20}}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,13 +241,13 @@ func BenchmarkExtensionQVerification(b *testing.B) {
 // EXT-FAULTS: component-level fault campaign on the Tow-Thomas design.
 func BenchmarkExtensionFaultCampaign(b *testing.B) {
 	sys := core.Default()
-	dec, err := sys.CalibrateFromTolerance(0.05, 9)
+	dec, err := sys.CalibrateFromTolerance(context.Background(), 0.05, 9, campaign.Engine{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var coverage float64
 	for i := 0; i < b.N; i++ {
-		tab, err := testbench.RunFaultTable(sys, dec, testbench.DefaultFaultSet())
+		tab, err := runAs[testbench.FaultTable](testbench.Spec{Campaign: "faults", Params: testbench.FaultsParams{Threshold: &dec.Threshold, Faults: testbench.DefaultFaultSet()}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +261,7 @@ func BenchmarkAblationMetric(b *testing.B) {
 	sys := core.Default()
 	var ndfRes, editRes float64
 	for i := 0; i < b.N; i++ {
-		a, err := testbench.RunAblMetric(sys, []float64{-0.05, -0.02, -0.005, 0.005, 0.02, 0.05})
+		a, err := runAs[testbench.AblMetric](testbench.Spec{Campaign: "metric", Params: testbench.MetricParams{Devs: []float64{-0.05, -0.02, -0.005, 0.005, 0.02, 0.05}}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -269,7 +276,7 @@ func BenchmarkExtensionTempDrift(b *testing.B) {
 	sys := core.Default()
 	var at350 float64
 	for i := 0; i < b.N; i++ {
-		td, err := testbench.RunTempDrift(sys, []float64{350})
+		td, err := runAs[testbench.TempDrift](testbench.Spec{Campaign: "temp", Params: testbench.TempParams{TempsK: []float64{350}}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,9 +290,7 @@ func BenchmarkAblationSpectral(b *testing.B) {
 	sys := core.Default()
 	var rmse float64
 	for i := 0; i < b.N; i++ {
-		a, err := testbench.RunAblSpectral(sys,
-			[]float64{-0.20, -0.10, -0.03, 0, 0.03, 0.10, 0.20},
-			[]float64{-0.12, 0.07})
+		a, err := runAs[testbench.AblSpectral](testbench.Spec{Campaign: "spectral", Params: testbench.SpectralParams{TrainDevs: []float64{-0.20, -0.10, -0.03, 0, 0.03, 0.10, 0.20}, TestDevs: []float64{-0.12, 0.07}}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,8 +304,7 @@ func BenchmarkNoiseResolutionSweep(b *testing.B) {
 	sys := core.Default()
 	var at5mV float64
 	for i := 0; i < b.N; i++ {
-		ns, err := testbench.RunNoiseSweep(sys, []float64{0.005},
-			[]float64{0.005, 0.01, 0.02, 0.05}, 6, 7)
+		ns, err := runAs[testbench.NoiseSweep](testbench.Spec{Campaign: "noisesweep", Seed: 7, Params: testbench.NoiseSweepParams{Sigmas: []float64{0.005}, DevGrid: []float64{0.005, 0.01, 0.02, 0.05}, Trials: 6}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -553,7 +557,7 @@ func BenchmarkExtensionYield(b *testing.B) {
 	}
 	var defect, overkill float64
 	for i := 0; i < b.N; i++ {
-		y, err := testbench.RunYield(sys, dec, 120, 0.02, 0.05, 11)
+		y, err := runAs[testbench.Yield](testbench.Spec{Campaign: "yield", Seed: 11, Params: testbench.YieldParams{N: 120, ComponentSigma: 0.02, Tol: 0.05, Threshold: &dec.Threshold}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -568,7 +572,7 @@ func BenchmarkExtensionCorners(b *testing.B) {
 	sys := core.Default()
 	var ss float64
 	for i := 0; i < b.N; i++ {
-		cd, err := testbench.RunCornerDrift(sys)
+		cd, err := runAs[testbench.CornerDrift](testbench.Spec{Campaign: "corners"}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -717,9 +721,10 @@ func BenchmarkFaultTableSpice(b *testing.B) {
 		{Kind: biquad.FaultOpen, Target: biquad.TargetRQ},
 		{Kind: biquad.FaultShort, Target: biquad.TargetC},
 	}
+	thr := 0.02
 	var coverage float64
 	for i := 0; i < b.N; i++ {
-		tab, err := testbench.RunFaultTable(sys, ndf.Decision{Threshold: 0.02}, faults)
+		tab, err := runAs[testbench.FaultTable](testbench.Spec{Campaign: "faults", Params: testbench.FaultsParams{Threshold: &thr, Faults: faults}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -731,13 +736,13 @@ func BenchmarkFaultTableSpice(b *testing.B) {
 // EXT-BIST: stuck-at monitor faults detected by the golden comparison.
 func BenchmarkExtensionSelfTest(b *testing.B) {
 	sys := core.Default()
-	dec, err := sys.CalibrateFromTolerance(0.05, 9)
+	dec, err := sys.CalibrateFromTolerance(context.Background(), 0.05, 9, campaign.Engine{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var cov float64
 	for i := 0; i < b.N; i++ {
-		st, err := testbench.RunSelfTest(sys, dec)
+		st, err := runAs[testbench.SelfTest](testbench.Spec{Campaign: "selftest", Params: testbench.SelfTestParams{Threshold: &dec.Threshold}}, testbench.WithSystem(sys))
 		if err != nil {
 			b.Fatal(err)
 		}

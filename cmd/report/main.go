@@ -51,7 +51,7 @@ func main() {
 		fmt.Print(res.Text)
 		return
 	}
-	if err := testbench.WriteReport(os.Stdout, core.Default()); err != nil {
+	if err := testbench.WriteReport(ctx, os.Stdout, core.Default()); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -1,26 +1,31 @@
 // f0sweep regenerates the paper's Fig. 8: the normalized discrepancy
 // factor as a function of the deviation in the Biquad's natural
 // frequency, with PASS/FAIL acceptance bands, and prints an ASCII plot.
+// It runs the registered "fig8" campaign as a spec, the same way
+// mcserved runs a submitted JSON body.
 //
 // Run with: go run ./examples/f0sweep
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/testbench"
 )
 
 func main() {
-	sys := core.Default()
-	fig, err := testbench.RunFig8(sys, 0.20, 41, 0.05)
+	res, err := testbench.Run(context.Background(), testbench.Spec{
+		Campaign: "fig8",
+		Params:   testbench.Fig8Params{MaxDev: 0.20, Points: 41, Tol: 0.05},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(fig.Render())
+	fig := res.Payload.(*testbench.Fig8)
+	fmt.Print(res.Text)
 
 	// ASCII rendition of the V-shaped acceptance curve.
 	fmt.Println("\nNDF")

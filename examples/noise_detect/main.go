@@ -6,24 +6,29 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/testbench"
 )
 
 func main() {
-	sys := core.Default()
 	const sigma = 0.005 // 3σ = 0.015 V, the paper's condition
 
 	fmt.Printf("measurement noise: sigma = %.3f V (3σ = %.3f V)\n\n", sigma, 3*sigma)
-	res, err := testbench.RunNoiseDetection(sys, sigma,
-		[]float64{0.005, 0.01, 0.02, 0.05, 0.10}, 25, 25, 2024)
+	out, err := testbench.Run(context.Background(), testbench.Spec{
+		Campaign: "noise",
+		Seed:     2024,
+		Params: testbench.NoiseParams{
+			Sigma: sigma, Devs: []float64{0.005, 0.01, 0.02, 0.05, 0.10}, NullTrials: 25, Trials: 25,
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(res.Render())
+	res := out.Payload.(*testbench.Noise)
+	fmt.Print(out.Text)
 	fmt.Println("\npaper claim: deviations as low as 1% in f0 are detected under this noise.")
 	if len(res.Detect) >= 2 && res.Detect[1] > res.FalseRate {
 		fmt.Printf("reproduced: 1%% detection rate %.2f exceeds false-alarm rate %.2f\n",

@@ -6,9 +6,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/ndf"
 )
@@ -20,8 +22,9 @@ func main() {
 	sys := core.Default()
 
 	// Calibrate the acceptance threshold so that CUTs within ±5% of the
-	// nominal f0 pass (the Fig. 8 PASS band construction).
-	decision, err := sys.CalibrateFromTolerance(0.05, 9)
+	// nominal f0 pass (the Fig. 8 PASS band construction). The sweep
+	// fans out on the default campaign engine (all CPUs).
+	decision, err := sys.CalibrateFromTolerance(context.Background(), 0.05, 9, campaign.Engine{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -142,8 +142,8 @@ func TestClassifyGridMatchesScalarClassifier(t *testing.T) {
 }
 
 // TestBatchedAveragedNDFBitIdentical: the averaged campaign measurement
-// must agree with the scalar engine at any worker count, and the
-// scratch-carrying serial form must agree with both.
+// must agree with the scalar engine, on a fresh and on a warm (reused)
+// scratch.
 func TestBatchedAveragedNDFBitIdentical(t *testing.T) {
 	batched, scalar := Default(), scalarTwin()
 	cb, err := batched.Shifted(0.02)
@@ -155,25 +155,19 @@ func TestBatchedAveragedNDFBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const periods = 4
-	want, err := scalar.AveragedNDFCtx(context.Background(), cs, 0.005, rng.New(9), periods, 1)
+	want, err := scalar.AveragedNDFScratch(cs, 0.005, rng.New(9), periods, NewTrialScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 7} {
-		got, err := batched.AveragedNDFCtx(context.Background(), cb, 0.005, rng.New(9), periods, workers)
+	sc := NewTrialScratch()
+	for _, pass := range []string{"fresh", "warm"} {
+		got, err := batched.AveragedNDFScratch(cb, 0.005, rng.New(9), periods, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("workers %d: batched %v, scalar %v", workers, got, want)
+			t.Fatalf("%s scratch: batched %v, scalar %v", pass, got, want)
 		}
-	}
-	got, err := batched.AveragedNDFScratch(cb, 0.005, rng.New(9), periods, NewTrialScratch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("scratch form: %v, want %v", got, want)
 	}
 }
 
@@ -182,12 +176,12 @@ func TestBatchedAveragedNDFBitIdentical(t *testing.T) {
 func TestBatchedSweepF0BitIdentical(t *testing.T) {
 	batched, scalar := Default(), scalarTwin()
 	shifts := []float64{-0.15, -0.05, 0, 0.03, 0.12}
-	want, err := scalar.SweepF0Ctx(context.Background(), shifts, campaign.Engine{Workers: 1})
+	want, err := scalar.SweepF0(context.Background(), shifts, campaign.Engine{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		got, err := batched.SweepF0Ctx(context.Background(), shifts, campaign.Engine{Workers: workers})
+		got, err := batched.SweepF0(context.Background(), shifts, campaign.Engine{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

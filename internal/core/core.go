@@ -583,26 +583,11 @@ func (s *System) NDFOfShift(shift float64) (float64, error) {
 	return s.NDFOfDeviation(Deviation{F0Shift: shift})
 }
 
-// legacyCtx is the single audited root context behind the ctx-less
-// legacy wrappers (SweepF0, AveragedNDF, CalibrateFromTolerance, …):
-// they run to completion by design. New code accepts a caller context
-// and uses the Ctx variants — mclint's ctxflow analyzer flags any other
-// Background context in the library.
-func legacyCtx() context.Context {
-	return context.Background() //mclint:ctxflow single audited root for the ctx-less legacy wrappers; new code accepts a caller ctx
-}
-
-// SweepF0 evaluates NDFOfShift over a deviation grid (the Fig. 8 sweep)
-// in parallel across all CPUs; the output order matches shifts and the
-// result is deterministic.
-func (s *System) SweepF0(shifts []float64) ([]float64, error) {
-	return s.SweepF0Ctx(legacyCtx(), shifts, campaign.Engine{})
-}
-
-// SweepF0Ctx is SweepF0 under an explicit context and campaign engine
-// (worker bound, progress). Cancelling ctx aborts the sweep within one
-// trial's latency; the result is identical at any worker count.
-func (s *System) SweepF0Ctx(ctx context.Context, shifts []float64, eng campaign.Engine) ([]float64, error) {
+// SweepF0 evaluates NDFOfShift over a deviation grid (the Fig. 8 sweep),
+// fanned out on the given campaign engine (worker bound, progress). The
+// output order matches shifts; cancelling ctx aborts the sweep within one
+// trial's latency, and the result is identical at any worker count.
+func (s *System) SweepF0(ctx context.Context, shifts []float64, eng campaign.Engine) ([]float64, error) {
 	// The golden signature must be materialized before fan-out so the
 	// sync.Once does not serialize the workers.
 	if _, err := s.GoldenSignature(); err != nil {
@@ -623,42 +608,23 @@ func (s *System) SweepF0Ctx(ctx context.Context, shifts []float64, eng campaign.
 		})
 }
 
-// AveragedNDF captures the CUT over several consecutive Lissajous
+// AveragedNDFScratch captures the CUT over several consecutive Lissajous
 // periods and averages the per-period NDF against the golden signature.
 // Under measurement noise the per-period NDF carries a noise-floor mean
 // plus sampling variance; averaging K periods shrinks the variance by
 // ~1/√K, which is how a production tester makes small deviations (the
 // paper's 1% claim) separable from the floor without changing hardware —
 // it simply observes the CUT longer.
-// Each period is an independent capture: period k draws its noise from
-// the substream noise.Split(k), so the periods fan out across the
-// campaign pool and the average is deterministic at any worker count.
-func (s *System) AveragedNDF(c CUT, sigma float64, noise *rng.Stream, periods int) (float64, error) {
-	return s.AveragedNDFCtx(legacyCtx(), c, sigma, noise, periods, 0)
-}
-
-// AveragedNDFCtx is AveragedNDF under an explicit context and worker-pool
-// bound (0 = all CPUs). Campaign runners that already fan trials out pass
-// 1 so the outer pool alone owns the parallelism (or, better, carry a
-// per-worker scratch and call AveragedNDFScratch).
-func (s *System) AveragedNDFCtx(ctx context.Context, c CUT, sigma float64, noise *rng.Stream, periods, workers int) (float64, error) {
-	return s.averagedNDF(ctx, c, sigma, noise, periods, workers, nil)
-}
-
-// AveragedNDFScratch is AveragedNDF running the periods serially with
-// caller-owned scratch — the form campaign runners use inside their own
-// worker pools, so every trial a worker executes reuses one set of
-// buffers. Scratch never affects the result.
+//
+// Period k is an independent capture drawing its noise from the
+// substream noise.Split(k). The periods run serially on the caller's
+// scratch — campaign runners call this inside their own worker pools, so
+// every trial a worker executes reuses one set of buffers. Scratch never
+// affects the result. In the batched engine the clean output tick
+// samples are evaluated once per call and shared read-only by every
+// period's capture (each period only adds its own noise draws on top),
+// which is where most of the per-period work of the scalar pipeline went.
 func (s *System) AveragedNDFScratch(c CUT, sigma float64, noise *rng.Stream, periods int, sc *TrialScratch) (float64, error) {
-	return s.averagedNDF(legacyCtx(), c, sigma, noise, periods, 1, sc)
-}
-
-// averagedNDF implements the AveragedNDF variants. In the batched engine
-// the clean output tick samples are evaluated once per call and shared
-// read-only by every period's capture (each period only adds its own
-// noise draws on top), which is where most of the per-period work of the
-// scalar pipeline went.
-func (s *System) averagedNDF(ctx context.Context, c CUT, sigma float64, noise *rng.Stream, periods, workers int, sc *TrialScratch) (float64, error) {
 	if periods < 1 {
 		periods = 1
 	}
@@ -666,33 +632,18 @@ func (s *System) averagedNDF(ctx context.Context, c CUT, sigma float64, noise *r
 	if err != nil {
 		return 0, err
 	}
-	// Materialize the observed output once before fan-out: backends with
-	// an expensive Output (the SPICE transient) compute it here instead
-	// of inside every period's capture. With caller-owned scratch the
-	// periods run serially on this worker, so the scratch-backed waveform
-	// stays valid for all of them.
+	// Materialize the observed output once: backends with an expensive
+	// Output (the SPICE transient) compute it here instead of inside
+	// every period's capture. The scratch-backed waveform stays valid
+	// for all periods because they run serially on this scratch.
 	out, err := s.outputScratch(c, sc)
 	if err != nil {
 		return 0, err
 	}
-	// Split advances the caller's stream — derive the per-period streams
-	// serially before fan-out.
-	streams := make([]*rng.Stream, periods)
-	if noise != nil {
-		for k := range streams {
-			streams[k] = noise.Split(uint64(k))
-		}
-	}
-	newScratch := NewTrialScratch
-	if sc != nil {
-		// Caller-owned scratch: the periods must run on one worker.
-		workers = 1
-		newScratch = func() *TrialScratch { return sc }
-	}
-	var trial func(k int, sc *TrialScratch) (float64, error)
+	var period func(src *rng.Stream) (float64, error)
 	if s.Scalar {
-		trial = func(k int, sc *TrialScratch) (float64, error) {
-			obs, err := s.capturedSignature(c, sigma, streams[k], sc)
+		period = func(src *rng.Stream) (float64, error) {
+			obs, err := s.capturedSignature(c, sigma, src, sc)
 			if err != nil {
 				return 0, err
 			}
@@ -704,20 +655,14 @@ func (s *System) averagedNDF(ctx context.Context, c CUT, sigma float64, noise *r
 			return 0, err
 		}
 		// The clean samples live in the caller's scratch, apart from the
-		// buffers each period's trial grows.
-		var ybase []float64
-		if sc != nil {
-			sc.ybase = grow(sc.ybase, len(ts))
-			ybase = sc.ybase
-		} else {
-			ybase = make([]float64, len(ts))
-		}
+		// buffers each period grows.
+		sc.ybase = grow(sc.ybase, len(ts))
+		ybase := sc.ybase
 		wave.EvalInto(out, ts, ybase)
 		eff := EffectiveNoiseSigma(sigma)
-		trial = func(k int, sc *TrialScratch) (float64, error) {
+		period = func(src *rng.Stream) (float64, error) {
 			xv, yv := xs, ybase
-			if sigma > 0 && streams[k] != nil {
-				src := streams[k]
+			if sigma > 0 && src != nil {
 				n := len(ts)
 				xv, yv = sc.growXs(n), sc.growYs(n)
 				for i := 0; i < n; i++ {
@@ -734,12 +679,16 @@ func (s *System) averagedNDF(ctx context.Context, c CUT, sigma float64, noise *r
 			return ndf.NDF(obs, g)
 		}
 	}
-	vals, err := campaign.RunScratch(ctx, campaign.Engine{Workers: workers}, periods, newScratch, trial)
-	if err != nil {
-		return 0, err
-	}
 	sum := 0.0
-	for _, v := range vals {
+	for k := 0; k < periods; k++ {
+		var src *rng.Stream
+		if noise != nil {
+			src = noise.Split(uint64(k))
+		}
+		v, err := period(src)
+		if err != nil {
+			return 0, err
+		}
 		sum += v
 	}
 	return sum / float64(periods), nil
@@ -768,17 +717,11 @@ func (s *System) Test(c CUT, dec ndf.Decision, sigma float64, noise *rng.Stream)
 	return TestResult{NDF: v, Pass: dec.Pass(v)}, nil
 }
 
-// CalibrateFromTolerance sweeps the deviation grid and places the
-// acceptance threshold at the NDF of the tolerance edges — the Fig. 8
-// PASS/FAIL band construction.
-func (s *System) CalibrateFromTolerance(tol float64, gridPoints int) (ndf.Decision, error) {
-	return s.CalibrateFromToleranceCtx(legacyCtx(), tol, gridPoints, campaign.Engine{})
-}
-
-// CalibrateFromToleranceCtx is CalibrateFromTolerance under an explicit
-// context and campaign engine; the calibration sweep is cancellable and
-// bit-identical at any worker count.
-func (s *System) CalibrateFromToleranceCtx(ctx context.Context, tol float64, gridPoints int, eng campaign.Engine) (ndf.Decision, error) {
+// CalibrateFromTolerance sweeps the deviation grid on the given campaign
+// engine and places the acceptance threshold at the NDF of the tolerance
+// edges — the Fig. 8 PASS/FAIL band construction. The sweep is
+// cancellable and bit-identical at any worker count.
+func (s *System) CalibrateFromTolerance(ctx context.Context, tol float64, gridPoints int, eng campaign.Engine) (ndf.Decision, error) {
 	if gridPoints < 3 {
 		gridPoints = 9
 	}
@@ -786,7 +729,7 @@ func (s *System) CalibrateFromToleranceCtx(ctx context.Context, tol float64, gri
 	for i := range devs {
 		devs[i] = -tol*2 + 4*tol*float64(i)/float64(gridPoints-1)
 	}
-	ndfs, err := s.SweepF0Ctx(ctx, devs, eng)
+	ndfs, err := s.SweepF0(ctx, devs, eng)
 	if err != nil {
 		return ndf.Decision{}, err
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/biquad"
+	"repro/internal/campaign"
 	"repro/internal/monitor"
 	"repro/internal/ndf"
 	"repro/internal/rng"
@@ -86,7 +88,7 @@ func TestHeadlineNDFPlus10(t *testing.T) {
 func TestSweepShape(t *testing.T) {
 	s := Default()
 	devs := []float64{-0.2, -0.1, -0.05, 0, 0.05, 0.1, 0.2}
-	ndfs, err := s.SweepF0(devs)
+	ndfs, err := s.SweepF0(context.Background(), devs, campaign.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +181,7 @@ func TestNoiseRaisesFloorButKeepsOrder(t *testing.T) {
 
 func TestCalibrateAndTest(t *testing.T) {
 	s := Default()
-	dec, err := s.CalibrateFromTolerance(0.05, 9)
+	dec, err := s.CalibrateFromTolerance(context.Background(), 0.05, 9, campaign.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 )
 
@@ -10,7 +12,7 @@ import (
 // calibrate the ±5% acceptance band, and test a +10% f0 CUT.
 func ExampleSystem_Test() {
 	sys := core.Default()
-	decision, err := sys.CalibrateFromTolerance(0.05, 9)
+	decision, err := sys.CalibrateFromTolerance(context.Background(), 0.05, 9, campaign.Engine{})
 	if err != nil {
 		fmt.Println(err)
 		return

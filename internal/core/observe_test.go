@@ -111,7 +111,7 @@ func TestAveragedNDFReducesVariance(t *testing.T) {
 	// periods < 1 is clamped and the result is finite and positive
 	// under noise.
 	s := Default()
-	v, err := s.AveragedNDF(s.CUT, 0.005, nil, 0)
+	v, err := s.AveragedNDFScratch(s.CUT, 0.005, nil, 0, NewTrialScratch())
 	if err != nil {
 		t.Fatal(err)
 	}

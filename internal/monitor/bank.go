@@ -154,20 +154,10 @@ func (b *Bank) Perturbed(die *mos.Die) *Bank {
 // and every die derives its random stream inside the worker as a pure
 // function of (seed, die index) — no serial stream pre-pass, no O(dies)
 // result slots, and a result that is bit-identical regardless of
-// scheduling or worker count.
-func (b *Bank) MCEnvelope(mi int, variation mos.Variation, seed uint64, nDies, nCols int) (xs []float64, ys [][]float64) {
-	//mclint:ctxflow ctx-less legacy wrapper; MCEnvelopeCtx carries caller cancellation for everything else
-	xs, ys, err := b.MCEnvelopeCtx(context.Background(), mi, variation, seed, nDies, nCols, campaign.Engine{})
-	if err != nil {
-		panic(err) // a background context never cancels; trials are error-free
-	}
-	return xs, ys
-}
-
-// MCEnvelopeCtx is MCEnvelope under an explicit context and campaign
-// engine (worker bound, chunk size, progress). The only error it can
-// return is the context's, once cancellation stops the die fan-out.
-func (b *Bank) MCEnvelopeCtx(ctx context.Context, mi int, variation mos.Variation, seed uint64, nDies, nCols int, eng campaign.Engine) (xs []float64, ys [][]float64, err error) {
+// scheduling or worker count. The engine sets the worker bound, chunk
+// size and progress sink; the only error MCEnvelope can return is ctx's,
+// once cancellation stops the die fan-out.
+func (b *Bank) MCEnvelope(ctx context.Context, mi int, variation mos.Variation, seed uint64, nDies, nCols int, eng campaign.Engine) (xs []float64, ys [][]float64, err error) {
 	a, ok := b.monitors[mi].(*Analytic)
 	if !ok {
 		panic("monitor: MCEnvelope requires an analytic monitor")

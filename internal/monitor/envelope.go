@@ -6,7 +6,7 @@ import (
 	"repro/internal/campaign"
 )
 
-// envelopeReducer is the streaming reduction behind MCEnvelopeCtx.
+// envelopeReducer is the streaming reduction behind MCEnvelope.
 // The accumulator is the envelope itself: per-column boundary values in
 // die order. Fold appends one die's crossings (skipping columns the die
 // never crossed); Merge concatenates chunks column-wise — chunk order

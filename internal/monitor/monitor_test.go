@@ -1,11 +1,13 @@
 package monitor
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/campaign"
 	"repro/internal/mos"
 	"repro/internal/rng"
 )
@@ -254,7 +256,10 @@ func TestWithDevicesShiftsBoundary(t *testing.T) {
 
 func TestMCEnvelopeSpread(t *testing.T) {
 	b := NewAnalyticTableI()
-	xs, ys := b.MCEnvelope(2, mos.Default65nmVariation(), 11, 40, 21)
+	xs, ys, err := b.MCEnvelope(context.Background(), 2, mos.Default65nmVariation(), 11, 40, 21, campaign.Engine{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(xs) != 21 {
 		t.Fatalf("cols = %d", len(xs))
 	}
@@ -388,7 +393,10 @@ func TestMCEnvelopeDeterministicAcrossParallelism(t *testing.T) {
 	run := func(procs int) [][]float64 {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		_, ys := b.MCEnvelope(2, mos.Default65nmVariation(), 77, 24, 11)
+		_, ys, err := b.MCEnvelope(context.Background(), 2, mos.Default65nmVariation(), 77, 24, 11, campaign.Engine{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return ys
 	}
 	a := run(1)

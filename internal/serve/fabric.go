@@ -144,10 +144,7 @@ func (f *Fabric) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, f.coord.Jobs())
 	case http.MethodPost:
 		var sub FabricSubmit
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&sub); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad submission: %w", err))
+		if !decodeBody(w, r, &sub, "submission") {
 			return
 		}
 		if sub.ID == "" {
@@ -232,16 +229,6 @@ type shardMessage struct {
 	Msg     string `json:"msg,omitempty"`
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
-		return false
-	}
-	return true
-}
-
 func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
@@ -257,7 +244,7 @@ func (f *Fabric) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req leaseRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, "body") {
 		return
 	}
 	if req.Worker == "" {
@@ -281,7 +268,7 @@ func (f *Fabric) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var msg shardMessage
-	if !decodeBody(w, r, &msg) {
+	if !decodeBody(w, r, &msg, "body") {
 		return
 	}
 	ls := &fabric.Lease{Job: msg.Job, Token: msg.Token}
@@ -297,7 +284,7 @@ func (f *Fabric) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var msg shardMessage
-	if !decodeBody(w, r, &msg) {
+	if !decodeBody(w, r, &msg, "body") {
 		return
 	}
 	ls := &fabric.Lease{Job: msg.Job, Token: msg.Token}
@@ -313,7 +300,7 @@ func (f *Fabric) handleFail(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var msg shardMessage
-	if !decodeBody(w, r, &msg) {
+	if !decodeBody(w, r, &msg, "body") {
 		return
 	}
 	ls := &fabric.Lease{Job: msg.Job, Token: msg.Token}

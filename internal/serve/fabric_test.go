@@ -178,6 +178,27 @@ func TestFabricTwoWorkersOverHTTP(t *testing.T) {
 
 // TestFabricHTTPErrors pins the wire error mapping: the sentinel errors
 // a Worker keys its control flow off must survive the HTTP round trip.
+// Fabric submissions and shard reports larger than maxBodyBytes are
+// refused with 413.
+func TestFabricOversizeBodies(t *testing.T) {
+	_, ts := newFabricServer(t, fabric.Config{})
+	for path, fields := range map[string]string{
+		"/v1/fabric/jobs":   `"id":"big","shards":1`,
+		"/v1/shards/report": `"job":"big","token":"t"`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(oversizeBody(fields)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.Body.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversize POST %s: %s, want 413", path, resp.Status)
+		}
+	}
+}
+
 func TestFabricHTTPErrors(t *testing.T) {
 	_, ts := newFabricServer(t, fabric.Config{})
 	backend := &HTTPBackend{Base: ts.URL}

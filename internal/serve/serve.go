@@ -234,10 +234,7 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, testbench.List())
 	case http.MethodPost:
 		var spec testbench.Spec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+		if !decodeBody(w, r, &spec, "spec") {
 			return
 		}
 		st, err := s.Submit(spec)
@@ -347,4 +344,31 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // writeError writes a JSON error envelope.
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// maxBodyBytes caps every JSON request body the service decodes: campaign
+// and fabric submissions and the shard lease, heartbeat, report and fail
+// messages. The largest legitimate body is a faults shard report, about
+// 330 bytes per fault case (~5 KiB for the 16-fault default set), so
+// 8 MiB still carries ~25 000 cases per shard while no single request
+// can make the server buffer an unbounded body.
+const maxBodyBytes = 8 << 20
+
+// decodeBody strictly decodes a request body of at most maxBodyBytes
+// into v, answering 413 when the body is larger and 400 when it is
+// malformed; what names the body in the error. It reports whether v was
+// filled.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad %s: %w", what, err))
+		return false
+	}
+	return true
 }

@@ -153,6 +153,25 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// oversizeBody is a JSON object whose one string field alone exceeds
+// maxBodyBytes, wrapped around the given leading fields.
+func oversizeBody(fields string) string {
+	return "{" + fields + `,"pad":"` + strings.Repeat("A", maxBodyBytes+1) + `"}`
+}
+
+// A campaign submission larger than maxBodyBytes is refused with 413
+// before it is decoded into a job.
+func TestSubmitOversizeBody(t *testing.T) {
+	s, ts := newTestServer(t)
+	resp, _ := postSpec(t, ts.URL, oversizeBody(`"campaign":"fig1"`))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize spec: status %s, want 413", resp.Status)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("%d jobs created by an oversize spec", n)
+	}
+}
+
 // Cancelling through the HTTP endpoint aborts a long campaign promptly.
 func TestCancelEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)

@@ -1,7 +1,6 @@
 package stat
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -91,12 +90,6 @@ func (h *StreamingHistogram) BinCenter(i int) float64 {
 	return h.lo + (float64(i)+0.5)*w
 }
 
-// Reset empties the histogram in place, keeping range and bins.
-func (h *StreamingHistogram) Reset() {
-	clear(h.counts)
-	h.under, h.over, h.invalid, h.n = 0, 0, 0, 0
-}
-
 // Merge folds other into h by exact integer addition. It panics when
 // the two histograms do not share the same range and bin count — their
 // bins are not comparable.
@@ -179,202 +172,4 @@ func (h *StreamingHistogram) ASCII(width int) string {
 		fmt.Fprintf(&b, "%10.4g | %-*s %d\n", h.BinCenter(i), width, bar, c)
 	}
 	return b.String()
-}
-
-// Binary encoding, a canonical sparse form:
-//
-//	magic "SHG1" | lo, hi float64 bits | bins uvarint | n, under,
-//	over, invalid uvarint | pairs uvarint | (index delta uvarint,
-//	count uvarint)*
-
-var streamHistMagic = [4]byte{'S', 'H', 'G', '1'}
-
-// maxStreamHistBins bounds the decoded bin count so arbitrary input
-// cannot demand an absurd allocation. 1<<24 bins is far beyond any
-// plotting or quantile use.
-const maxStreamHistBins = 1 << 24
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (h *StreamingHistogram) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, streamHistMagic[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.lo))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.hi))
-	buf = binary.AppendUvarint(buf, uint64(len(h.counts)))
-	for _, v := range []uint64{h.n, h.under, h.over, h.invalid} {
-		buf = binary.AppendUvarint(buf, v)
-	}
-	buf = appendSparse(buf, h.counts)
-	return buf, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. Arbitrary
-// bytes either decode into a fully consistent histogram or fail with a
-// descriptive error — never a panic, never a silently inconsistent
-// value.
-func (h *StreamingHistogram) UnmarshalBinary(data []byte) error {
-	r := &byteReader{data: data}
-	var magic [4]byte
-	if err := r.bytes(magic[:]); err != nil {
-		return fmt.Errorf("stat: histogram decode: %w", err)
-	}
-	if magic != streamHistMagic {
-		return errors.New("stat: histogram decode: bad magic")
-	}
-	loBits, err := r.uint64()
-	if err != nil {
-		return fmt.Errorf("stat: histogram decode: %w", err)
-	}
-	hiBits, err := r.uint64()
-	if err != nil {
-		return fmt.Errorf("stat: histogram decode: %w", err)
-	}
-	lo, hi := math.Float64frombits(loBits), math.Float64frombits(hiBits)
-	if !(hi > lo) || math.IsInf(lo, 0) || math.IsInf(hi, 0) || math.IsNaN(lo) || math.IsNaN(hi) {
-		return fmt.Errorf("stat: histogram decode: bad range [%g, %g)", lo, hi)
-	}
-	bins, err := r.uvarint()
-	if err != nil {
-		return fmt.Errorf("stat: histogram decode: %w", err)
-	}
-	if bins == 0 || bins > maxStreamHistBins {
-		return fmt.Errorf("stat: histogram decode: %d bins out of [1, %d]", bins, maxStreamHistBins)
-	}
-	var hdr [4]uint64
-	for i := range hdr {
-		if hdr[i], err = r.uvarint(); err != nil {
-			return fmt.Errorf("stat: histogram decode: %w", err)
-		}
-	}
-	out := NewStreamingHistogram(lo, hi, int(bins))
-	out.n, out.under, out.over, out.invalid = hdr[0], hdr[1], hdr[2], hdr[3]
-	counts, binned, err := readSparseCounts(r, int(bins))
-	if err != nil {
-		return fmt.Errorf("stat: histogram decode: %w", err)
-	}
-	if counts != nil {
-		out.counts = counts
-	}
-	if r.len() != 0 {
-		return fmt.Errorf("stat: histogram decode: %d trailing bytes", r.len())
-	}
-	if total := binned + out.under + out.over + out.invalid; total != out.n {
-		return fmt.Errorf("stat: histogram decode: counts sum to %d, header says %d", total, out.n)
-	}
-	*h = *out
-	return nil
-}
-
-// appendSparse emits the non-zero (delta-coded index, count) pairs of a
-// dense count array, preceded by the pair count.
-func appendSparse(buf []byte, counts []uint64) []byte {
-	pairs := 0
-	for _, c := range counts {
-		if c != 0 {
-			pairs++
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(pairs))
-	prev := 0
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		buf = binary.AppendUvarint(buf, uint64(i-prev))
-		buf = binary.AppendUvarint(buf, c)
-		prev = i
-	}
-	return buf
-}
-
-// readSparseCounts decodes one canonical sparse (delta-coded index,
-// count) pair list into a dense array of the given size — allocated
-// only when pairs exist — returning the array (nil when empty) and the
-// summed counts.
-func readSparseCounts(r *byteReader, size int) ([]uint64, uint64, error) {
-	pairs, err := r.uvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	if pairs == 0 {
-		return nil, 0, nil
-	}
-	if pairs > uint64(size) {
-		return nil, 0, fmt.Errorf("%d pairs exceed %d buckets", pairs, size)
-	}
-	dst := make([]uint64, size)
-	idx := -1
-	var sum uint64
-	for p := uint64(0); p < pairs; p++ {
-		delta, err := r.uvarint()
-		if err != nil {
-			return nil, 0, err
-		}
-		count, err := r.uvarint()
-		if err != nil {
-			return nil, 0, err
-		}
-		if count == 0 {
-			return nil, 0, errors.New("zero count pair breaks canonical form")
-		}
-		step := int(delta)
-		if p == 0 {
-			idx = step
-		} else {
-			if delta == 0 {
-				return nil, 0, errors.New("duplicate bucket index")
-			}
-			if step < 0 {
-				return nil, 0, errors.New("bucket index overflow")
-			}
-			idx += step
-		}
-		if idx < 0 || idx >= size {
-			return nil, 0, fmt.Errorf("bucket index %d out of %d", idx, size)
-		}
-		next := sum + count
-		if next < sum {
-			return nil, 0, errors.New("count overflow")
-		}
-		sum = next
-		dst[idx] = count
-	}
-	return dst, sum, nil
-}
-
-// byteReader is a minimal bounds-checked cursor over a byte slice —
-// enough for the histogram decoder without pulling in
-// bytes.Reader's error paths.
-type byteReader struct {
-	data []byte
-	off  int
-}
-
-func (r *byteReader) len() int { return len(r.data) - r.off }
-
-func (r *byteReader) bytes(dst []byte) error {
-	if r.len() < len(dst) {
-		return errors.New("truncated")
-	}
-	copy(dst, r.data[r.off:])
-	r.off += len(dst)
-	return nil
-}
-
-func (r *byteReader) uint64() (uint64, error) {
-	if r.len() < 8 {
-		return 0, errors.New("truncated")
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *byteReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, errors.New("bad uvarint")
-	}
-	r.off += n
-	return v, nil
 }

@@ -27,19 +27,10 @@ type BackendAgreement struct {
 	MaxWaveDelta float64
 }
 
-// RunBackendAgreement sweeps the given f0 shifts on a default analytic
-// system and a default SPICE system sharing stimulus, bank and capture.
-// It is a thin wrapper over the campaign registry ("backends", which
-// builds both systems itself and ignores the spec backend).
-func RunBackendAgreement(shifts []float64) (*BackendAgreement, error) {
-	return runAs[BackendAgreement](legacyCtx(), Spec{
-		Campaign: "backends",
-		Params:   BackendsParams{Shifts: shifts},
-	})
-}
-
-// runBackendAgreement is the registry implementation behind
-// RunBackendAgreement.
+// runBackendAgreement sweeps the given f0 shifts on a default analytic
+// system and a default SPICE system sharing stimulus, bank and capture
+// (campaign "backends", which builds both systems itself and ignores the
+// spec backend).
 func runBackendAgreement(ctx context.Context, shifts []float64, eng campaign.Engine) (*BackendAgreement, error) {
 	ana := core.Default()
 	spc, err := core.DefaultSpice()
@@ -47,11 +38,11 @@ func runBackendAgreement(ctx context.Context, shifts []float64, eng campaign.Eng
 		return nil, err
 	}
 	out := &BackendAgreement{Shifts: shifts}
-	out.AnalyticNDF, err = ana.SweepF0Ctx(ctx, shifts, eng)
+	out.AnalyticNDF, err = ana.SweepF0(ctx, shifts, eng)
 	if err != nil {
 		return nil, err
 	}
-	out.SpiceNDF, err = spc.SweepF0Ctx(ctx, shifts, eng)
+	out.SpiceNDF, err = spc.SweepF0(ctx, shifts, eng)
 	if err != nil {
 		return nil, err
 	}

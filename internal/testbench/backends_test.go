@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/biquad"
+	"repro/internal/campaign"
 	"repro/internal/core"
 )
 
@@ -14,7 +15,7 @@ import (
 // SPICE backends, and the golden output waveforms must coincide within
 // the transient integrator's accuracy budget.
 func TestBackendAgreement(t *testing.T) {
-	ba, err := RunBackendAgreement([]float64{-0.10, -0.05, 0, 0.05, 0.10})
+	ba, err := runAs[BackendAgreement](context.Background(), Spec{Campaign: "backends", Params: BackendsParams{Shifts: []float64{-0.10, -0.05, 0, 0.05, 0.10}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +49,14 @@ func TestFaultTableOnSpiceBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := sys.CalibrateFromTolerance(0.05, 9)
+	dec, err := sys.CalibrateFromTolerance(context.Background(), 0.05, 9, campaign.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Threshold <= 0 {
 		t.Fatalf("SPICE-calibrated threshold = %v", dec.Threshold)
 	}
-	tab, err := RunFaultTable(sys, dec, DefaultFaultSet())
+	tab, err := runAs[FaultTable](context.Background(), Spec{Campaign: "faults", Params: FaultsParams{Threshold: &dec.Threshold, Faults: DefaultFaultSet()}}, WithSystem(sys))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,16 +5,16 @@ import (
 	"fmt"
 
 	"repro/internal/biquad"
+	"repro/internal/monitor"
 	"repro/internal/ndf"
 )
 
 // This file is the campaign registry's catalogue: every experiment driver
 // of the package registered under a stable name with a typed,
 // JSON-serializable params struct. The registry is the single campaign
-// surface — the legacy Run* entry points, the CLI flags (mcmon -list,
-// xyzone -ext/-abl), and the mcserved HTTP service all resolve through
-// it, so adding a campaign here makes it scriptable, servable and
-// discoverable at once.
+// surface — Run, the CLI flags (mcmon -list, xyzone -ext/-abl), and the
+// mcserved HTTP service all resolve through it, so adding a campaign
+// here makes it scriptable, servable and discoverable at once.
 //
 // Params structs carry their defaults as field values; a spec overrides
 // only the fields it names. Common knobs (backend, seed, workers, scalar
@@ -26,15 +26,24 @@ type Fig1Params struct {
 	Points int     `json:"points"`
 }
 
+// Validate bounds the trace resolution.
+func (p *Fig1Params) Validate() error { return validateSize("points", p.Points, MaxPoints) }
+
 // Fig4Params configures the "fig4" campaign.
 type Fig4Params struct {
 	Points int `json:"points"`
 }
 
+// Validate bounds the trace resolution.
+func (p *Fig4Params) Validate() error { return validateSize("points", p.Points, MaxPoints) }
+
 // Fig4SpiceParams configures the "fig4spice" campaign.
 type Fig4SpiceParams struct {
 	Cols int `json:"cols"`
 }
+
+// Validate bounds the column count.
+func (p *Fig4SpiceParams) Validate() error { return validateSize("cols", p.Cols, MaxPoints) }
 
 // Fig4MCParams configures the "fig4mc" campaign. Monitor is the 0-based
 // Table I index.
@@ -44,9 +53,12 @@ type Fig4MCParams struct {
 	Cols    int `json:"cols"`
 }
 
-// Validate bounds the die count.
+// Validate bounds the die and column counts.
 func (p *Fig4MCParams) Validate() error {
-	return validateTrials("dies", p.Dies)
+	if err := validateTrials("dies", p.Dies); err != nil {
+		return err
+	}
+	return validateSize("cols", p.Cols, MaxPoints)
 }
 
 // Fig6Params configures the "fig6" campaign.
@@ -55,11 +67,17 @@ type Fig6Params struct {
 	Grid  int     `json:"grid"`
 }
 
+// Validate bounds the zone-map grid side.
+func (p *Fig6Params) Validate() error { return validateSize("grid", p.Grid, MaxGridSide) }
+
 // Fig7Params configures the "fig7" campaign.
 type Fig7Params struct {
 	Shift  float64 `json:"shift"`
 	Points int     `json:"points"`
 }
+
+// Validate bounds the chronogram resolution.
+func (p *Fig7Params) Validate() error { return validateSize("points", p.Points, MaxPoints) }
 
 // Fig8Params configures the "fig8" campaign.
 type Fig8Params struct {
@@ -67,6 +85,9 @@ type Fig8Params struct {
 	Points int     `json:"points"`
 	Tol    float64 `json:"tol"`
 }
+
+// Validate bounds the sweep resolution.
+func (p *Fig8Params) Validate() error { return validateSize("points", p.Points, MaxPoints) }
 
 // NoiseParams configures the "noise" campaign.
 type NoiseParams struct {
@@ -139,6 +160,19 @@ func validateTrials(name string, n int) error {
 	return nil
 }
 
+// validateSize is the shared size-knob bound: non-negative, at most max
+// (MaxPoints or MaxGridSide). Zero stays legal — the campaigns that
+// cannot use it clamp or reject it themselves.
+func validateSize(name string, n, max int) error {
+	if n < 0 {
+		return fmt.Errorf("negative %s %d", name, n)
+	}
+	if n > max {
+		return fmt.Errorf("%s = %d exceeds the %d bound", name, n, max)
+	}
+	return nil
+}
+
 // SelfTestParams configures the "selftest" campaign. A nil Threshold
 // calibrates one from Tol first.
 type SelfTestParams struct {
@@ -191,6 +225,9 @@ type StimOptParams struct {
 	Grid  int     `json:"grid"`
 }
 
+// Validate bounds the phase-grid side.
+func (p *StimOptParams) Validate() error { return validateSize("grid", p.Grid, MaxGridSide) }
+
 // BackendsParams configures the "backends" campaign.
 type BackendsParams struct {
 	Shifts []float64 `json:"shifts"`
@@ -214,7 +251,7 @@ func decision(ctx context.Context, ev *Env, threshold *float64, tol float64) (nd
 	if err != nil {
 		return ndf.Decision{}, err
 	}
-	return sys.CalibrateFromToleranceCtx(ctx, tol, 9, ev.Engine())
+	return sys.CalibrateFromTolerance(ctx, tol, 9, ev.Engine())
 }
 
 func init() {
@@ -231,7 +268,7 @@ func init() {
 	register("table1", "the six published monitor input configurations (Table I)",
 		Table1Params{},
 		func(ctx context.Context, ev *Env, p *Table1Params) (*Table1, error) {
-			return RunTable1(), nil
+			return &Table1{Configs: monitor.TableI()}, nil
 		})
 
 	register("fig4", "Table I boundary control curves from the analytic monitor model (Fig. 4)",

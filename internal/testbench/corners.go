@@ -22,13 +22,7 @@ type CornerDrift struct {
 	NDFs    []float64
 }
 
-// RunCornerDrift evaluates all five corners. It is a thin wrapper over
-// the campaign registry ("corners").
-func RunCornerDrift(sys *core.System) (*CornerDrift, error) {
-	return runAs[CornerDrift](legacyCtx(), Spec{Campaign: "corners"}, WithSystem(sys))
-}
-
-// runCornerDrift is the registry implementation behind RunCornerDrift.
+// runCornerDrift evaluates all five corners (campaign "corners").
 func runCornerDrift(ctx context.Context, sys *core.System) (*CornerDrift, error) {
 	golden, err := sys.GoldenSignature()
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // between). These are regression tests for the paper's reproducibility
 // claim — all figures and tables are bit-reproducible run to run — now
 // exercised through the declarative spec path, so the registry's worker
-// knob is covered by the same contract the legacy entry points had.
+// knob is covered by the same contract.
 
 func workerCounts() []int {
 	n := runtime.NumCPU()
@@ -26,12 +26,12 @@ func workerCounts() []int {
 func TestSweepF0DeterministicAcrossWorkers(t *testing.T) {
 	devs := []float64{-0.10, -0.05, 0, 0.05, 0.10}
 	ctx := context.Background()
-	ref, err := sys().SweepF0Ctx(ctx, devs, campaign.Engine{Workers: 1})
+	ref, err := sys().SweepF0(ctx, devs, campaign.Engine{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workerCounts()[1:] {
-		got, err := sys().SweepF0Ctx(ctx, devs, campaign.Engine{Workers: w})
+		got, err := sys().SweepF0(ctx, devs, campaign.Engine{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,13 +58,13 @@ func TestFig4MCDeterministicAcrossWorkers(t *testing.T) {
 		return env
 	}
 	ref := run(1)
-	// The spec path must also agree with the legacy entry point exactly.
-	legacy, err := RunFig4MC(2, 40, 15, 7)
+	// The default worker bound (all CPUs) must agree exactly too.
+	auto, err := runAs[Fig4MC](context.Background(), Spec{Campaign: "fig4mc", Seed: 7, Params: Fig4MCParams{Monitor: 2, Dies: 40, Cols: 15}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Render() != ref.Render() {
-		t.Fatal("legacy RunFig4MC differs from the spec path")
+	if auto.Render() != ref.Render() {
+		t.Fatal("default worker bound differs from workers=1")
 	}
 	for _, w := range workerCounts()[1:] {
 		got := run(w)
@@ -95,12 +95,12 @@ func TestNoiseSweepDeterministicAcrossWorkers(t *testing.T) {
 		return ns
 	}
 	ref := run(1)
-	legacy, err := RunNoiseSweep(sys(), []float64{0.005}, []float64{0.01, 0.02}, 4, 7)
+	auto, err := runAs[NoiseSweep](context.Background(), Spec{Campaign: "noisesweep", Seed: 7, Params: NoiseSweepParams{Sigmas: []float64{0.005}, DevGrid: []float64{0.01, 0.02}, Trials: 4}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Render() != ref.Render() {
-		t.Fatal("legacy RunNoiseSweep differs from the spec path")
+	if auto.Render() != ref.Render() {
+		t.Fatal("default worker bound differs from workers=1")
 	}
 	for _, w := range workerCounts()[1:] {
 		if got := run(w); got.Render() != ref.Render() {

@@ -1,16 +1,17 @@
 package testbench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/biquad"
+	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/ndf"
 )
 
 func TestExtQBandpassSeesQ(t *testing.T) {
-	e, err := RunExtQ(sys(), []float64{-0.30, -0.15, 0.15, 0.30})
+	e, err := runAs[ExtQ](context.Background(), Spec{Campaign: "q", Params: QParams{Devs: []float64{-0.30, -0.15, 0.15, 0.30}}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestDualObservationSeparatesQFromF0(t *testing.T) {
 }
 
 func TestExtQMonotoneAwayFromZero(t *testing.T) {
-	e, err := RunExtQ(sys(), []float64{0.10, 0.20, 0.40})
+	e, err := runAs[ExtQ](context.Background(), Spec{Campaign: "q", Params: QParams{Devs: []float64{0.10, 0.20, 0.40}}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +89,11 @@ func TestDefaultFaultSet(t *testing.T) {
 
 func TestFaultTableCampaign(t *testing.T) {
 	s := sys()
-	dec, err := s.CalibrateFromTolerance(0.05, 9)
+	dec, err := s.CalibrateFromTolerance(context.Background(), 0.05, 9, campaign.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := RunFaultTable(s, dec, DefaultFaultSet())
+	tab, err := runAs[FaultTable](context.Background(), Spec{Campaign: "faults", Params: FaultsParams{Threshold: &dec.Threshold, Faults: DefaultFaultSet()}}, WithSystem(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,8 @@ func TestFaultTableCampaign(t *testing.T) {
 func TestFaultTableThresholdSensitivity(t *testing.T) {
 	s := sys()
 	// An absurdly high threshold detects nothing.
-	tab, err := RunFaultTable(s, ndf.Decision{Threshold: 10}, DefaultFaultSet())
+	huge, zero := 10.0, 0.0
+	tab, err := runAs[FaultTable](context.Background(), Spec{Campaign: "faults", Params: FaultsParams{Threshold: &huge, Faults: DefaultFaultSet()}}, WithSystem(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestFaultTableThresholdSensitivity(t *testing.T) {
 		t.Fatalf("coverage with huge threshold = %v, want 0", tab.Coverage())
 	}
 	// A zero threshold detects everything (every fault moves something).
-	tab0, err := RunFaultTable(s, ndf.Decision{Threshold: 0}, DefaultFaultSet())
+	tab0, err := runAs[FaultTable](context.Background(), Spec{Campaign: "faults", Params: FaultsParams{Threshold: &zero, Faults: DefaultFaultSet()}}, WithSystem(s))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,19 +23,9 @@ type Fig4MC struct {
 	Cols        []int // indices into Xs that had MC crossings
 }
 
-// RunFig4MC builds the envelope for Table I monitor index mi (0-based),
-// fanning the dies out across all CPUs. It is a thin wrapper over the
-// campaign registry ("fig4mc"); spec-driven runs choose the worker bound
-// and get the bit-identical envelope at any count.
-func RunFig4MC(mi int, nDies, nCols int, seed uint64) (*Fig4MC, error) {
-	return runAs[Fig4MC](legacyCtx(), Spec{
-		Campaign: "fig4mc",
-		Seed:     seed,
-		Params:   Fig4MCParams{Monitor: mi, Dies: nDies, Cols: nCols},
-	})
-}
-
-// runFig4MC is the registry implementation behind RunFig4MC.
+// runFig4MC builds the envelope for Table I monitor index mi (0-based),
+// fanning the dies out across the campaign pool; the envelope is
+// bit-identical at any worker count (campaign "fig4mc").
 func runFig4MC(ctx context.Context, mi, nDies, nCols int, seed uint64, eng campaign.Engine) (*Fig4MC, error) {
 	cfgs := monitor.TableI()
 	if mi < 0 || mi >= len(cfgs) {
@@ -45,7 +35,7 @@ func runFig4MC(ctx context.Context, mi, nDies, nCols int, seed uint64, eng campa
 		return nil, fmt.Errorf("testbench: need at least 1 die and 2 columns, got %d/%d", nDies, nCols)
 	}
 	bank := monitor.NewAnalyticTableI()
-	xs, ys, err := bank.MCEnvelopeCtx(ctx, mi, mos.Default65nmVariation(), seed, nDies, nCols, eng)
+	xs, ys, err := bank.MCEnvelope(ctx, mi, mos.Default65nmVariation(), seed, nDies, nCols, eng)
 	if err != nil {
 		return nil, err
 	}

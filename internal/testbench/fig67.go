@@ -22,17 +22,8 @@ type Fig6 struct {
 	MultiRegion int // codes split across disconnected regions
 }
 
-// RunFig6 builds the zone map on a grid of gridN² and extracts both
-// traversal sequences. It is a thin wrapper over the campaign registry
-// ("fig6").
-func RunFig6(sys *core.System, shift float64, gridN int) (*Fig6, error) {
-	return runAs[Fig6](legacyCtx(), Spec{
-		Campaign: "fig6",
-		Params:   Fig6Params{Shift: shift, Grid: gridN},
-	}, WithSystem(sys))
-}
-
-// runFig6 is the registry implementation behind RunFig6.
+// runFig6 builds the zone map on a grid of gridN² and extracts both
+// traversal sequences (campaign "fig6").
 func runFig6(sys *core.System, shift float64, gridN int) (*Fig6, error) {
 	zm, err := zone.Build(sys.Bank, 0, 1, gridN)
 	if err != nil {
@@ -90,16 +81,7 @@ type Fig7 struct {
 	NDF       float64
 }
 
-// RunFig7 samples both chronograms at n points. It is a thin wrapper
-// over the campaign registry ("fig7").
-func RunFig7(sys *core.System, shift float64, n int) (*Fig7, error) {
-	return runAs[Fig7](legacyCtx(), Spec{
-		Campaign: "fig7",
-		Params:   Fig7Params{Shift: shift, Points: n},
-	}, WithSystem(sys))
-}
-
-// runFig7 is the registry implementation behind RunFig7.
+// runFig7 samples both chronograms at n points (campaign "fig7").
 func runFig7(sys *core.System, shift float64, n int) (*Fig7, error) {
 	g, err := sys.GoldenSignature()
 	if err != nil {

@@ -21,16 +21,8 @@ type AblMetric struct {
 	EditDist []float64 // normalized edit distance per deviation
 }
 
-// RunAblMetric sweeps both metrics over the f0 deviation grid. It is a
-// thin wrapper over the campaign registry ("metric").
-func RunAblMetric(sys *core.System, devs []float64) (*AblMetric, error) {
-	return runAs[AblMetric](legacyCtx(), Spec{
-		Campaign: "metric",
-		Params:   MetricParams{Devs: devs},
-	}, WithSystem(sys))
-}
-
-// runAblMetric is the registry implementation behind RunAblMetric.
+// runAblMetric sweeps both metrics over the f0 deviation grid (campaign
+// "metric").
 func runAblMetric(ctx context.Context, sys *core.System, devs []float64) (*AblMetric, error) {
 	g, err := sys.GoldenSignature()
 	if err != nil {

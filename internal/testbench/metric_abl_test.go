@@ -1,16 +1,18 @@
 package testbench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ndf"
 	"repro/internal/rng"
 	"repro/internal/stat"
 )
 
 func TestAblMetricNDFFinerThanEdit(t *testing.T) {
-	a, err := RunAblMetric(sys(), []float64{-0.10, -0.05, -0.02, -0.005, 0.005, 0.02, 0.05, 0.10})
+	a, err := runAs[AblMetric](context.Background(), Spec{Campaign: "metric", Params: MetricParams{Devs: []float64{-0.10, -0.05, -0.02, -0.005, 0.005, 0.02, 0.05, 0.10}}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func TestAblMetricNDFFinerThanEdit(t *testing.T) {
 }
 
 func TestAblMetricEditDistanceEventuallyMoves(t *testing.T) {
-	a, err := RunAblMetric(sys(), []float64{0.20})
+	a, err := runAs[AblMetric](context.Background(), Spec{Campaign: "metric", Params: MetricParams{Devs: []float64{0.20}}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func TestAblMetricEditDistanceEventuallyMoves(t *testing.T) {
 
 func TestStimOptImprovesOrKeepsSensitivity(t *testing.T) {
 	s := sys()
-	opt, err := RunStimOpt(s, 0.05, 4)
+	opt, err := runAs[StimOpt](context.Background(), Spec{Campaign: "stimopt", Params: StimOptParams{Shift: 0.05, Grid: 4}}, WithSystem(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +77,9 @@ func TestNoiseDistributionsStatisticallyDistinct(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := make([]float64, 16)
+		sc := core.NewTrialScratch()
 		for i := range out {
-			v, err := s.AveragedNDF(cut, 0.005, src.Split(base+uint64(i)), 3)
+			v, err := s.AveragedNDFScratch(cut, 0.005, src.Split(base+uint64(i)), 3, sc)
 			if err != nil {
 				t.Fatal(err)
 			}

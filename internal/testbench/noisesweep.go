@@ -30,20 +30,8 @@ type NoiseSweep struct {
 	Trials    int
 }
 
-// RunNoiseSweep probes the deviation grid (ascending, positive) at every
-// noise sigma, fanning the Monte-Carlo trials out across all CPUs. It is
-// a thin wrapper over the campaign registry ("noisesweep"); each trial
-// derives its stream in-worker as a pure function of the seed, so the
-// sweep is bit-identical at any worker count.
-func RunNoiseSweep(sys *core.System, sigmas, devGrid []float64, trials int, seed uint64) (*NoiseSweep, error) {
-	return runAs[NoiseSweep](legacyCtx(), Spec{
-		Campaign: "noisesweep",
-		Seed:     seed,
-		Params:   NoiseSweepParams{Sigmas: sigmas, DevGrid: devGrid, Trials: trials},
-	}, WithSystem(sys))
-}
-
-// runNoiseSweep is the registry implementation behind RunNoiseSweep.
+// runNoiseSweep probes the deviation grid (ascending, positive) at every
+// noise sigma (campaign "noisesweep").
 // As in runNoiseDetection, every phase streams: detection probes as
 // pure counts, per-sigma null calibration as the exact streamed maximum
 // of CalibrateNullThreshold, and all trial streams are derived inside

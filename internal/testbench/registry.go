@@ -184,9 +184,21 @@ func unmarshalParams(data []byte, into any) error {
 // validate cleanly.
 const MaxTrials = 100_000_000
 
+// MaxPoints bounds every 1-D resolution knob: the points of fig1, fig4,
+// fig7 and fig8 and the columns of fig4spice and fig4mc. Each allocates
+// O(n) per curve or per die before any work starts, so an unbounded
+// count is a one-request out-of-memory; 16384 is far past any plot or
+// envelope resolution the paper's figures use (41 to 512).
+const MaxPoints = 1 << 14
+
+// MaxGridSide bounds the side of the 2-D grids — the fig6 zone map and
+// the stimopt phase grid — whose cost grows with its square.
+const MaxGridSide = 1 << 10
+
 // paramsValidator is implemented by params structs that constrain their
-// values beyond what the JSON schema can express (trial-count bounds,
-// positive sigmas). Validate and Run both consult it after decoding.
+// values beyond what the JSON schema can express (trial-count and size
+// bounds, positive sigmas). Validate and Run both consult it after
+// decoding.
 type paramsValidator interface{ Validate() error }
 
 // validateParams runs the params struct's own semantic validation when

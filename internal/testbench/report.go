@@ -1,13 +1,13 @@
 package testbench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 
 	"repro/internal/core"
 	"repro/internal/monitor"
-	"repro/internal/zone"
 )
 
 // reportPrinter latches the first write error so every report line can
@@ -25,15 +25,18 @@ func (rp *reportPrinter) printf(format string, args ...any) {
 	}
 }
 
-// WriteReport runs the complete experiment suite against sys and writes
-// the paper-vs-measured summary (the data behind EXPERIMENTS.md) to w.
+// WriteReport runs the complete experiment suite against sys — each
+// experiment a registered campaign run through Run — and writes the
+// paper-vs-measured summary (the data behind EXPERIMENTS.md) to w.
 // All experiments are deterministic; runtime is a few seconds.
-func WriteReport(w io.Writer, sys *core.System) error {
+// Cancelling ctx aborts the experiment in flight.
+func WriteReport(ctx context.Context, w io.Writer, sys *core.System) error {
 	rp := &reportPrinter{w: w}
 	rp.printf("=== Reproduction report: Analog Circuit Test Based on a Digital Signature (DATE 2010) ===\n\n")
+	on := WithSystem(sys)
 
 	// Fig. 1
-	f1, err := RunFig1(sys, 0.10, 512)
+	f1, err := runAs[Fig1](ctx, Spec{Campaign: "fig1", Params: Fig1Params{Shift: 0.10, Points: 512}}, on)
 	if err != nil {
 		return err
 	}
@@ -47,7 +50,7 @@ func WriteReport(w io.Writer, sys *core.System) error {
 	rp.printf("FIG1  Lissajous +10%% f0: max pointwise deviation %.4f V (visible, bounded)\n", worst)
 
 	// Table I / Fig. 4
-	f4, err := RunFig4(41)
+	f4, err := runAs[Fig4](ctx, Spec{Campaign: "fig4", Params: Fig4Params{Points: 41}})
 	if err != nil {
 		return err
 	}
@@ -57,7 +60,7 @@ func WriteReport(w io.Writer, sys *core.System) error {
 	}
 	rp.printf("TAB1  six monitor configurations valid; FIG4 traced %d boundary points across 6 curves\n", tot)
 
-	env, err := RunFig4MC(2, 200, 21, 7)
+	env, err := runAs[Fig4MC](ctx, Spec{Campaign: "fig4mc", Seed: 7, Params: Fig4MCParams{Monitor: 2, Dies: 200, Cols: 21}})
 	if err != nil {
 		return err
 	}
@@ -65,15 +68,15 @@ func WriteReport(w io.Writer, sys *core.System) error {
 		100*env.NominalInsideEnvelope())
 
 	// Fig. 6
-	zm, err := zone.Build(sys.Bank, 0, 1, 141)
+	f6, err := runAs[Fig6](ctx, Spec{Campaign: "fig6", Params: Fig6Params{Shift: 0.10, Grid: 141}}, on)
 	if err != nil {
 		return err
 	}
 	rp.printf("FIG6  partition: %d zones (paper labels 16), %d Gray violations at boundary intersections\n",
-		zm.NumZones(), len(zm.GrayViolations()))
+		f6.NumZones, f6.Violations)
 
 	// Fig. 7
-	f7, err := RunFig7(sys, 0.10, 400)
+	f7, err := runAs[Fig7](ctx, Spec{Campaign: "fig7", Params: Fig7Params{Shift: 0.10, Points: 400}}, on)
 	if err != nil {
 		return err
 	}
@@ -86,7 +89,7 @@ func WriteReport(w io.Writer, sys *core.System) error {
 	rp.printf("FIG7  NDF(+10%%) = %.4f (paper: 0.1021); max Hamming distance %d (paper: 2)\n", f7.NDF, maxH)
 
 	// Fig. 8
-	f8, err := RunFig8(sys, 0.20, 17, 0.05)
+	f8, err := runAs[Fig8](ctx, Spec{Campaign: "fig8", Params: Fig8Params{MaxDev: 0.20, Points: 17, Tol: 0.05}}, on)
 	if err != nil {
 		return err
 	}
@@ -94,7 +97,9 @@ func WriteReport(w io.Writer, sys *core.System) error {
 		f8.NDFs[0], f8.NDFs[len(f8.NDFs)-1], f8.Threshold)
 
 	// Noise
-	nd, err := RunNoiseDetection(sys, 0.005, []float64{0.005, 0.01, 0.02}, 20, 20, 2024)
+	nd, err := runAs[Noise](ctx, Spec{Campaign: "noise", Seed: 2024, Params: NoiseParams{
+		Sigma: 0.005, Devs: []float64{0.005, 0.01, 0.02}, NullTrials: 20, Trials: 20,
+	}}, on)
 	if err != nil {
 		return err
 	}
@@ -102,14 +107,16 @@ func WriteReport(w io.Writer, sys *core.System) error {
 		nd.Detect[0], nd.Detect[1], nd.Detect[2], nd.FalseRate)
 
 	// Ablations
-	al, err := RunAblLinear(sys, []float64{-0.10, 0.10})
+	al, err := runAs[AblLinear](ctx, Spec{Campaign: "linear", Params: LinearParams{Devs: []float64{-0.10, 0.10}}}, on)
 	if err != nil {
 		return err
 	}
 	rp.printf("ABL   linear zoning: area ratio %.2fx, NDF(+10%%) linear %.3f vs nonlinear %.3f\n",
 		al.LinearUm2/al.NonlinearUm2, al.LinearNDF[1], al.NonlinearNDF[1])
 
-	ac, err := RunAblCounter(sys, 0.10, []int{8, 12, 16}, []float64{1e6, 10e6, 100e6})
+	ac, err := runAs[AblCounter](ctx, Spec{Campaign: "counter", Params: CounterParams{
+		Shift: 0.10, Bits: []int{8, 12, 16}, Clocks: []float64{1e6, 10e6, 100e6},
+	}}, on)
 	if err != nil {
 		return err
 	}
@@ -123,26 +130,22 @@ func WriteReport(w io.Writer, sys *core.System) error {
 	}
 	rp.printf("ABL   capture quantization: worst |ΔNDF| %.4f across {8,12,16}b x {1,10,100}MHz\n", worstQ)
 
-	ar, err := RunAblRegression(sys,
-		[]float64{-0.20, -0.15, -0.10, -0.06, -0.03, 0, 0.03, 0.06, 0.10, 0.15, 0.20},
-		[]float64{-0.12, -0.04, 0.07, 0.12})
+	ar, err := runAs[AblRegression](ctx, Spec{Campaign: "regress", Params: RegressParams{
+		TrainDevs: defaultTrainDevs(), TestDevs: defaultTestDevs(),
+	}}, on)
 	if err != nil {
 		return err
 	}
 	rp.printf("ABL   alternate-test regression: held-out RMSE %.5f (fractional f0)\n", ar.TestRMSE)
 
 	// Extensions
-	eq, err := RunExtQ(sys, []float64{0.20})
+	eq, err := runAs[ExtQ](ctx, Spec{Campaign: "q", Params: QParams{Devs: []float64{0.20}}}, on)
 	if err != nil {
 		return err
 	}
 	rp.printf("EXT   Q+20%%: NDF LP-observed %.4f, BP-observed %.4f\n", eq.LPNDF[0], eq.BPNDF[0])
 
-	dec, err := sys.CalibrateFromTolerance(0.05, 9)
-	if err != nil {
-		return err
-	}
-	ft, err := RunFaultTable(sys, dec, DefaultFaultSet())
+	ft, err := runAs[FaultTable](ctx, Spec{Campaign: "faults", Params: FaultsParams{Tol: 0.05}}, on)
 	if err != nil {
 		return err
 	}

@@ -23,16 +23,8 @@ type SelfTest struct {
 	Threshold float64
 }
 
-// RunSelfTest evaluates all stuck-at faults against the decision. It is
-// a thin wrapper over the campaign registry ("selftest").
-func RunSelfTest(sys *core.System, dec ndf.Decision) (*SelfTest, error) {
-	return runAs[SelfTest](legacyCtx(), Spec{
-		Campaign: "selftest",
-		Params:   SelfTestParams{Threshold: &dec.Threshold},
-	}, WithSystem(sys))
-}
-
-// runSelfTest is the registry implementation behind RunSelfTest.
+// runSelfTest evaluates all stuck-at faults against the decision
+// (campaign "selftest").
 func runSelfTest(ctx context.Context, sys *core.System, dec ndf.Decision) (*SelfTest, error) {
 	golden, err := sys.GoldenSignature()
 	if err != nil {

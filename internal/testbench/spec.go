@@ -104,8 +104,7 @@ func WithMeter(m campaign.Meter) Option {
 }
 
 // WithSystem pins the system the campaign runs on, bypassing the spec's
-// Backend/Scalar resolution — the hook custom-configured systems (and the
-// legacy Run* wrappers) use.
+// Backend/Scalar resolution — the hook custom-configured systems use.
 func WithSystem(sys *core.System) Option {
 	return func(c *runConfig) { c.sys = sys }
 }
@@ -214,8 +213,8 @@ func compile(spec Spec, opts ...Option) (*campaignDef, *Env, Spec, any, error) {
 
 // Run executes the campaign a spec names through the registry and wraps
 // its payload in the uniform Result envelope. Cancelling ctx aborts the
-// campaign within one trial's latency (the run returns ctx's error). All
-// legacy Run* entry points are thin wrappers over this function.
+// campaign within one trial's latency (the run returns ctx's error). It is
+// the only way to run a campaign.
 func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 	def, ev, eff, params, err := compile(spec, opts...)
 	if err != nil {
@@ -235,8 +234,7 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 	}, nil
 }
 
-// runAs runs a spec and returns its payload as *R — the helper behind the
-// typed legacy wrappers.
+// runAs runs a spec and returns its payload as *R.
 func runAs[R any](ctx context.Context, spec Spec, opts ...Option) (*R, error) {
 	res, err := Run(ctx, spec, opts...)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -250,6 +251,37 @@ func TestTrialsKnobValidation(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Spec{Campaign: "table1", Chunk: -1}); err == nil {
 		t.Fatal("Run accepted a negative chunk the HTTP gate rejects")
+	}
+}
+
+// The size knobs — 1-D point and column counts, 2-D grid sides — are
+// bounded like the trial counts: an oversize or negative value fails
+// Validate and Run before the campaign allocates anything (a fig4mc spec
+// with cols = 1<<40 used to die with an unrecoverable out-of-memory
+// inside the envelope fold), while every registry default still runs.
+func TestSizeKnobValidation(t *testing.T) {
+	for _, name := range Names() {
+		if err := Validate(Spec{Campaign: name}); err != nil {
+			t.Fatalf("%s defaults rejected: %v", name, err)
+		}
+	}
+	for _, bad := range []Spec{
+		{Campaign: "fig1", Params: Fig1Params{Shift: 0.1, Points: 1 << 40}},
+		{Campaign: "fig4", Params: Fig4Params{Points: MaxPoints + 1}},
+		{Campaign: "fig4spice", Params: Fig4SpiceParams{Cols: 1 << 40}},
+		{Campaign: "fig4mc", Params: Fig4MCParams{Monitor: 2, Dies: 10, Cols: 1 << 40}},
+		{Campaign: "fig6", Params: Fig6Params{Shift: 0.1, Grid: 1 << 30}},
+		{Campaign: "fig7", Params: Fig7Params{Shift: 0.1, Points: 1 << 40}},
+		{Campaign: "fig7", Params: Fig7Params{Shift: 0.1, Points: -1}},
+		{Campaign: "fig8", Params: Fig8Params{MaxDev: 0.2, Points: 1 << 40, Tol: 0.05}},
+		{Campaign: "stimopt", Params: StimOptParams{Shift: 0.05, Grid: MaxGridSide + 1}},
+	} {
+		if err := Validate(bad); err == nil {
+			t.Fatalf("oversize spec %+v validated", bad)
+		}
+		if _, err := Run(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "bad params") {
+			t.Fatalf("Run on oversize spec %+v: err = %v, want a bad-params rejection", bad, err)
+		}
 	}
 }
 

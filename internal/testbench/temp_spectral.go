@@ -28,17 +28,8 @@ type TempDrift struct {
 	NDFs   []float64 // NDF of a golden CUT read by a bank at TempsK[i]
 }
 
-// RunTempDrift evaluates a golden CUT against the 300 K golden signature
-// with the monitor bank operated at each temperature. It is a thin
-// wrapper over the campaign registry ("temp").
-func RunTempDrift(sys *core.System, tempsK []float64) (*TempDrift, error) {
-	return runAs[TempDrift](legacyCtx(), Spec{
-		Campaign: "temp",
-		Params:   TempParams{TempsK: tempsK},
-	}, WithSystem(sys))
-}
-
-// runTempDrift is the registry implementation behind RunTempDrift.
+// runTempDrift evaluates a golden CUT against the 300 K golden signature
+// with the monitor bank operated at each temperature (campaign "temp").
 func runTempDrift(ctx context.Context, sys *core.System, tempsK []float64) (*TempDrift, error) {
 	golden, err := sys.GoldenSignature()
 	if err != nil {
@@ -116,16 +107,7 @@ type AblSpectral struct {
 	SpectralRMSE float64
 }
 
-// RunAblSpectral runs both regressions. It is a thin wrapper over the
-// campaign registry ("spectral").
-func RunAblSpectral(sys *core.System, trainDevs, testDevs []float64) (*AblSpectral, error) {
-	return runAs[AblSpectral](legacyCtx(), Spec{
-		Campaign: "spectral",
-		Params:   SpectralParams{TrainDevs: trainDevs, TestDevs: testDevs},
-	}, WithSystem(sys))
-}
-
-// runAblSpectral is the registry implementation behind RunAblSpectral.
+// runAblSpectral runs both regressions (campaign "spectral").
 func runAblSpectral(ctx context.Context, sys *core.System, trainDevs, testDevs []float64) (*AblSpectral, error) {
 	dw, err := runAblRegression(ctx, sys, trainDevs, testDevs)
 	if err != nil {

@@ -24,16 +24,7 @@ type Fig1 struct {
 	Defective []lissajous.Point
 }
 
-// RunFig1 samples both curves with n points per period. It is a thin
-// wrapper over the campaign registry ("fig1").
-func RunFig1(sys *core.System, shift float64, n int) (*Fig1, error) {
-	return runAs[Fig1](legacyCtx(), Spec{
-		Campaign: "fig1",
-		Params:   Fig1Params{Shift: shift, Points: n},
-	}, WithSystem(sys))
-}
-
-// runFig1 is the registry implementation behind RunFig1.
+// runFig1 samples both curves with n points per period (campaign "fig1").
 func runFig1(sys *core.System, shift float64, n int) (*Fig1, error) {
 	g, err := sys.Lissajous(sys.CUT)
 	if err != nil {
@@ -74,10 +65,6 @@ type Table1 struct {
 	Configs []monitor.Config
 }
 
-// RunTable1 returns the published configuration table (registry campaign
-// "table1").
-func RunTable1() *Table1 { return &Table1{Configs: monitor.TableI()} }
-
 // Render formats the table like the paper.
 func (t *Table1) Render() string {
 	var b strings.Builder
@@ -110,16 +97,8 @@ type Fig4 struct {
 	Envelopes [][][3]float64
 }
 
-// RunFig4 traces every Table I boundary at the given resolution. It is a
-// thin wrapper over the campaign registry ("fig4").
-func RunFig4(n int) (*Fig4, error) {
-	return runAs[Fig4](legacyCtx(), Spec{
-		Campaign: "fig4",
-		Params:   Fig4Params{Points: n},
-	})
-}
-
-// runFig4 is the registry implementation behind RunFig4.
+// runFig4 traces every Table I boundary at the given resolution (campaign
+// "fig4").
 func runFig4(ctx context.Context, n int) (*Fig4, error) {
 	out := &Fig4{}
 	for _, cfg := range monitor.TableI() {
@@ -149,19 +128,10 @@ func (f *Fig4) CSV() string {
 	return b.String()
 }
 
-// RunFig4Spice traces every Table I boundary from the transistor-level
+// runFig4Spice traces every Table I boundary from the transistor-level
 // Fig. 2 netlist (binary search on the digitized output of MNA DC
 // solves) — the software counterpart of the paper's bench measurement.
-// Columns without a bit transition are skipped. It is a thin wrapper over
-// the campaign registry ("fig4spice").
-func RunFig4Spice(nCols int) (*Fig4, error) {
-	return runAs[Fig4](legacyCtx(), Spec{
-		Campaign: "fig4spice",
-		Params:   Fig4SpiceParams{Cols: nCols},
-	})
-}
-
-// runFig4Spice is the registry implementation behind RunFig4Spice.
+// Columns without a bit transition are skipped (campaign "fig4spice").
 func runFig4Spice(ctx context.Context, nCols int) (*Fig4, error) {
 	out := &Fig4{}
 	for _, cfg := range monitor.TableI() {
@@ -197,18 +167,9 @@ type Fig8 struct {
 	Threshold float64
 }
 
-// RunFig8 sweeps deviations over ±maxDev with the given number of points
+// runFig8 sweeps deviations over ±maxDev with the given number of points
 // (odd counts include 0) and calibrates the PASS/FAIL threshold at the
-// tolerance edges. It is a thin wrapper over the campaign registry
-// ("fig8").
-func RunFig8(sys *core.System, maxDev float64, points int, tol float64) (*Fig8, error) {
-	return runAs[Fig8](legacyCtx(), Spec{
-		Campaign: "fig8",
-		Params:   Fig8Params{MaxDev: maxDev, Points: points, Tol: tol},
-	}, WithSystem(sys))
-}
-
-// runFig8 is the registry implementation behind RunFig8.
+// tolerance edges (campaign "fig8").
 func runFig8(ctx context.Context, sys *core.System, maxDev float64, points int, tol float64, eng campaign.Engine) (*Fig8, error) {
 	if points < 3 {
 		points = 3
@@ -217,7 +178,7 @@ func runFig8(ctx context.Context, sys *core.System, maxDev float64, points int, 
 	for i := range devs {
 		devs[i] = -maxDev + 2*maxDev*float64(i)/float64(points-1)
 	}
-	ndfs, err := sys.SweepF0Ctx(ctx, devs, eng)
+	ndfs, err := sys.SweepF0(ctx, devs, eng)
 	if err != nil {
 		return nil, err
 	}

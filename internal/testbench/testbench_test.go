@@ -1,6 +1,7 @@
 package testbench
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -11,7 +12,7 @@ import (
 func sys() *core.System { return core.Default() }
 
 func TestFig1(t *testing.T) {
-	f, err := RunFig1(sys(), 0.10, 500)
+	f, err := runAs[Fig1](context.Background(), Spec{Campaign: "fig1", Params: Fig1Params{Shift: 0.10, Points: 500}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,10 @@ func TestFig1(t *testing.T) {
 }
 
 func TestTable1Render(t *testing.T) {
-	tab := RunTable1()
+	tab, err := runAs[Table1](context.Background(), Spec{Campaign: "table1"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := tab.Render()
 	for _, want := range []string{"3000", "1800", "600", "X axis", "Y axis", "0.55", "L = 180 nm"} {
 		if !strings.Contains(s, want) {
@@ -56,7 +60,7 @@ func TestTable1Render(t *testing.T) {
 }
 
 func TestFig4(t *testing.T) {
-	f, err := RunFig4(41)
+	f, err := runAs[Fig4](context.Background(), Spec{Campaign: "fig4", Params: Fig4Params{Points: 41}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func TestFig4(t *testing.T) {
 }
 
 func TestFig4MCEnvelope(t *testing.T) {
-	f, err := RunFig4MC(2, 60, 25, 7)
+	f, err := runAs[Fig4MC](context.Background(), Spec{Campaign: "fig4mc", Seed: 7, Params: Fig4MCParams{Monitor: 2, Dies: 60, Cols: 25}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +106,13 @@ func TestFig4MCEnvelope(t *testing.T) {
 	if !strings.HasPrefix(f.CSV(), "x,p2_5") {
 		t.Fatal("CSV header wrong")
 	}
-	if _, err := RunFig4MC(99, 10, 10, 1); err == nil {
+	if _, err := runAs[Fig4MC](context.Background(), Spec{Campaign: "fig4mc", Seed: 1, Params: Fig4MCParams{Monitor: 99, Dies: 10, Cols: 10}}); err == nil {
 		t.Fatal("bad monitor index accepted")
 	}
 }
 
 func TestFig6(t *testing.T) {
-	f, err := RunFig6(sys(), 0.10, 101)
+	f, err := runAs[Fig6](context.Background(), Spec{Campaign: "fig6", Params: Fig6Params{Shift: 0.10, Grid: 101}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +132,7 @@ func TestFig6(t *testing.T) {
 }
 
 func TestFig7(t *testing.T) {
-	f, err := RunFig7(sys(), 0.10, 400)
+	f, err := runAs[Fig7](context.Background(), Spec{Campaign: "fig7", Params: Fig7Params{Shift: 0.10, Points: 400}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +166,7 @@ func TestFig7(t *testing.T) {
 }
 
 func TestFig8(t *testing.T) {
-	f, err := RunFig8(sys(), 0.20, 9, 0.05)
+	f, err := runAs[Fig8](context.Background(), Spec{Campaign: "fig8", Params: Fig8Params{MaxDev: 0.20, Points: 9, Tol: 0.05}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +199,7 @@ func TestNoiseDetection(t *testing.T) {
 	}
 	// Small but meaningful: 1% must be detected at high rate with the
 	// paper's noise level; use modest trial counts to keep the test fast.
-	n, err := RunNoiseDetection(sys(), 0.005, []float64{0.01, 0.05}, 12, 12, 42)
+	n, err := runAs[Noise](context.Background(), Spec{Campaign: "noise", Seed: 42, Params: NoiseParams{Sigma: 0.005, Devs: []float64{0.01, 0.05}, NullTrials: 12, Trials: 12}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +219,7 @@ func TestNoiseDetection(t *testing.T) {
 }
 
 func TestAblLinear(t *testing.T) {
-	a, err := RunAblLinear(sys(), []float64{-0.10, -0.05, 0.05, 0.10})
+	a, err := runAs[AblLinear](context.Background(), Spec{Campaign: "linear", Params: LinearParams{Devs: []float64{-0.10, -0.05, 0.05, 0.10}}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +237,7 @@ func TestAblLinear(t *testing.T) {
 }
 
 func TestAblCounter(t *testing.T) {
-	a, err := RunAblCounter(sys(), 0.10, []int{8, 16}, []float64{1e6, 10e6})
+	a, err := runAs[AblCounter](context.Background(), Spec{Campaign: "counter", Params: CounterParams{Shift: 0.10, Bits: []int{8, 16}, Clocks: []float64{1e6, 10e6}}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +266,7 @@ func TestAblCounter(t *testing.T) {
 func TestAblRegression(t *testing.T) {
 	train := []float64{-0.20, -0.15, -0.10, -0.06, -0.03, 0, 0.03, 0.06, 0.10, 0.15, 0.20}
 	test := []float64{-0.12, -0.04, 0.07, 0.12}
-	a, err := RunAblRegression(sys(), train, test)
+	a, err := runAs[AblRegression](context.Background(), Spec{Campaign: "regress", Params: RegressParams{TrainDevs: train, TestDevs: test}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,13 +44,15 @@ type Yield struct {
 // over the eight simultaneous spec corners (±tol on f0 and gain, ±2·tol
 // on Q). Calibrating on single-parameter sweeps (Fig. 8) under-budgets
 // multi-parameter in-spec drift and shows up as overkill; corner
-// calibration is how a production deployment sets the band.
+// calibration is how a production deployment sets the band. The "yield"
+// campaign calibrates through calibrateMultiParam on its own ctx; this
+// ctx-less form exists only because the perfbench module calls it.
 func CalibrateMultiParam(sys *core.System, tol float64) (ndf.Decision, error) {
-	return calibrateMultiParam(legacyCtx(), sys, tol)
+	return calibrateMultiParam(context.TODO(), sys, tol) //mclint:ctxflow kept ctx-less only for the perfbench module, which calls it; delete once perfbench does not
 }
 
-// calibrateMultiParam is CalibrateMultiParam with corner-granular
-// cancellation for registry runs.
+// calibrateMultiParam is CalibrateMultiParam with cancellation checked
+// between corners.
 func calibrateMultiParam(ctx context.Context, sys *core.System, tol float64) (ndf.Decision, error) {
 	worst := 0.0
 	for _, sf := range []float64{-1, 1} {
@@ -74,20 +76,6 @@ func calibrateMultiParam(ctx context.Context, sys *core.System, tol float64) (nd
 		}
 	}
 	return ndf.Decision{Threshold: worst}, nil
-}
-
-// RunYield draws n CUTs with component sigma, tests each against the
-// decision, and scores against the spec. It is a thin wrapper over the
-// campaign registry ("yield"); the CUTs are independent dies streamed
-// through the campaign reduction engine — peak memory is O(workers +
-// chunk) whatever n is, and the scores are bit-identical at any worker
-// count.
-func RunYield(sys *core.System, dec ndf.Decision, n int, componentSigma, tol float64, seed uint64) (*Yield, error) {
-	return runAs[Yield](legacyCtx(), Spec{
-		Campaign: "yield",
-		Seed:     seed,
-		Params:   YieldParams{N: n, ComponentSigma: componentSigma, Tol: tol, Threshold: &dec.Threshold},
-	}, WithSystem(sys))
 }
 
 // yieldCounts is the per-chunk accumulator of the yield reduction: four
@@ -175,9 +163,11 @@ func finalizeYield(counts yieldCounts, n int, componentSigma, tol, threshold flo
 	return out
 }
 
-// runYield is the registry implementation behind RunYield: the yield
-// trial streamed through the checkpointable reduction over the full die
-// range.
+// runYield draws n CUTs with component sigma, tests each against the
+// decision, and scores against the spec (campaign "yield"). The dies
+// stream through the checkpointable reduction over the full die range,
+// so peak memory is O(workers + chunk) whatever n is and the scores are
+// bit-identical at any worker count.
 func runYield(ctx context.Context, sys *core.System, dec ndf.Decision, n int, componentSigma, tol float64, eng campaign.Engine) (*Yield, error) {
 	trial, err := yieldTrial(sys, dec, componentSigma, tol, eng)
 	if err != nil {
