@@ -92,8 +92,9 @@ bench-diff:
 # batched-signature-engine, the streaming-reduction, the
 # registry-dispatch, the null-calibration and the
 # checkpoint-cadence benchmarks (fast path, Newton baseline, CUT
-# output, trial templates, fault table, batched vs scalar capture, the
-# warm per-die exact signature, Reduce vs Run, spec dispatch, streamed null calibration,
+# output, trial templates, fault table, LUT capture vs the LUT-less
+# reference bank, the warm per-die exact signature, Reduce vs Run, spec
+# dispatch, streamed null calibration,
 # span reduction with/without a checkpoint sink) — proves the hot paths
 # still execute end to end.
 bench-smoke:

@@ -18,7 +18,6 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/ndf"
 	"repro/internal/rng"
-	"repro/internal/signature"
 	"repro/internal/spice"
 	"repro/internal/testbench"
 	"repro/internal/wave"
@@ -321,13 +320,8 @@ func BenchmarkSignatureCapture(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cls, err := sys.Classifier(cut, 0, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := signature.Capture(cls, sys.Period(), sys.Capture); err != nil {
+		if _, err := sys.CapturedSignature(cut, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -468,23 +462,22 @@ func BenchmarkBankLUTBuild(b *testing.B) {
 	}
 }
 
-// SIG-BATCH: the batched tick-grid capture (cached stimulus grid, batch
+// SIG-BATCH: the warm tick-grid capture (cached stimulus grid, batch
 // output evaluation, zone-LUT classification, codes-slice walk) — the
 // per-period unit of every campaign. Compare against
-// BenchmarkSignatureCaptureScalar, the retained per-tick baseline.
+// BenchmarkSignatureCaptureScalar, the same capture on the LUT-less
+// reference bank.
 func BenchmarkSignatureCaptureBatched(b *testing.B) {
-	benchmarkSignatureCaptureEngine(b, false)
+	benchmarkSignatureCaptureEngine(b, core.Default())
 }
 
-// SIG-SCALAR: the retained scalar per-tick capture pipeline (the
-// pre-batching engine, kept as the certification baseline).
+// SIG-SCALAR: the warm capture on the LUT-less reference bank, which
+// classifies every tick exactly with Bank.Classify.
 func BenchmarkSignatureCaptureScalar(b *testing.B) {
-	benchmarkSignatureCaptureEngine(b, true)
+	benchmarkSignatureCaptureEngine(b, referenceSystem(b))
 }
 
-func benchmarkSignatureCaptureEngine(b *testing.B, scalar bool) {
-	sys := core.Default()
-	sys.Scalar = scalar
+func benchmarkSignatureCaptureEngine(b *testing.B, sys *core.System) {
 	cut, err := sys.Shifted(0.10)
 	if err != nil {
 		b.Fatal(err)
@@ -503,18 +496,16 @@ func benchmarkSignatureCaptureEngine(b *testing.B, scalar bool) {
 
 // NDF-AVG-BATCH / NDF-AVG-SCALAR: the noisy averaged-NDF measurement —
 // the per-trial unit of the noise detection, resolution and yield
-// campaigns — on the batched and on the retained scalar engine.
+// campaigns — on the LUT bank and on the LUT-less reference bank.
 func BenchmarkAveragedNDFBatched(b *testing.B) {
-	benchmarkAveragedNDFEngine(b, false)
+	benchmarkAveragedNDFEngine(b, core.Default())
 }
 
 func BenchmarkAveragedNDFScalar(b *testing.B) {
-	benchmarkAveragedNDFEngine(b, true)
+	benchmarkAveragedNDFEngine(b, referenceSystem(b))
 }
 
-func benchmarkAveragedNDFEngine(b *testing.B, scalar bool) {
-	sys := core.Default()
-	sys.Scalar = scalar
+func benchmarkAveragedNDFEngine(b *testing.B, sys *core.System) {
 	cut, err := sys.Shifted(0.02)
 	if err != nil {
 		b.Fatal(err)

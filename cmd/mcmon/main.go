@@ -52,7 +52,6 @@ func main() {
 		name     = flag.String("campaign", "", "registered campaign to run (see -list)")
 		params   = flag.String("params", "", "campaign params as JSON (defaults apply to omitted fields)")
 		backend  = flag.String("backend", "", "CUT backend for the campaign: "+strings.Join(core.Backends(), " or ")+" (implies -campaign faults when none is named)")
-		scalar   = flag.Bool("scalar", false, "run the retained per-tick scalar signature engine")
 		monIdx   = flag.Int("monitor", 3, "Table I monitor number (1-6) for the monitor study")
 		dies     = flag.Int("dies", 500, "number of Monte Carlo dies for the monitor study")
 		x        = flag.Float64("x", 0.4, "x column for the monitor study's spread histogram")
@@ -87,14 +86,14 @@ func main() {
 			if conflict != nil {
 				return conflict
 			}
-			return runCampaign(ctx, *name, *params, *backend, *scalar, *seed, *workers, *tol, *progress)
+			return runCampaign(ctx, *name, *params, *backend, *seed, *workers, *tol, *progress)
 		default:
 			// The monitor study ignores the campaign knobs; reject the
 			// conflicting combination instead of silently dropping them.
 			var conflict error
 			flag.Visit(func(f *flag.Flag) {
 				switch f.Name {
-				case "params", "scalar", "tol":
+				case "params", "tol":
 					conflict = fmt.Errorf("-%s needs -campaign or -backend", f.Name)
 				}
 			})
@@ -112,7 +111,7 @@ func main() {
 
 // runList prints the registry catalogue.
 func runList() error {
-	fmt.Println("registered campaigns (spec fields: campaign, backend, seed, workers, chunk, scalar, params):")
+	fmt.Println("registered campaigns (spec fields: campaign, backend, seed, workers, chunk, checkpoint, params):")
 	for _, info := range testbench.List() {
 		fmt.Printf("\n  %-11s %s\n", info.Name, info.Summary)
 		for _, p := range info.Params {
@@ -129,13 +128,12 @@ func runList() error {
 // runCampaign executes one registered campaign from its spec pieces.
 // An empty name with a backend set keeps the historic shorthand: the
 // component fault campaign on that backend.
-func runCampaign(ctx context.Context, name, params, backend string, scalar bool, seed uint64, workers int, tol float64, progress bool) error {
+func runCampaign(ctx context.Context, name, params, backend string, seed uint64, workers int, tol float64, progress bool) error {
 	spec := testbench.Spec{
 		Campaign: name,
 		Backend:  backend,
 		Seed:     seed,
 		Workers:  workers,
-		Scalar:   scalar,
 	}
 	if params != "" {
 		spec.Params = json.RawMessage(params)

@@ -58,6 +58,24 @@ import (
 	"repro/internal/testbench"
 )
 
+// Connection timeouts of the HTTP listeners. A client gets
+// readHeaderTimeout to send its request headers, so a stalled or
+// trickling client cannot pin a connection (and its goroutine) forever,
+// and an idle keep-alive connection is closed after idleTimeout. There
+// is deliberately no read or write timeout: a request body is capped by
+// the service itself, and an SSE progress stream stays open for as long
+// as its campaign runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the http.Server every mcserved listener runs,
+// with the connection timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
@@ -119,7 +137,7 @@ func run(ctx context.Context, addr, storeDir, logFormat string, smoke bool) erro
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: serve.AccessLog(os.Stderr, logFormat, mux)}
+	hs := newHTTPServer(serve.AccessLog(os.Stderr, logFormat, mux))
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	fmt.Printf("mcserved listening on http://%s\n", ln.Addr())
@@ -295,7 +313,7 @@ func runFabricSmoke(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: fh}
+	hs := newHTTPServer(fh)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	baseURL := "http://" + ln.Addr().String()

@@ -25,27 +25,40 @@ func equalSigs(t *testing.T, name string, a, b *signature.Signature) {
 	}
 }
 
-// scalarTwin returns a fresh default system running the retained scalar
-// pipeline — the reference the batched engine must match bit for bit.
-func scalarTwin() *System {
+// referenceTwin returns a fresh default system whose bank wraps every
+// Table I monitor in an anonymous struct. The wrapped monitors are not
+// *monitor.Analytic, so the bank builds no zone LUT and the unchanged
+// pipeline classifies every scan point, tick and bisection probe exactly
+// with Bank.Classify — the reference the LUT paths must match bit for
+// bit.
+func referenceTwin(t testing.TB) *System {
+	t.Helper()
 	s := Default()
-	s.Scalar = true
+	ms := s.Bank.Monitors()
+	wrapped := make([]monitor.Monitor, len(ms))
+	for i, m := range ms {
+		wrapped[i] = struct{ monitor.Monitor }{m}
+	}
+	s.Bank = monitor.NewBank(wrapped...)
+	if s.Bank.HasLUT() {
+		t.Fatal("wrapped reference bank built a zone LUT")
+	}
 	return s
 }
 
 // TestBatchedExactSignatureBitIdentical: the LUT-classified scan grid
-// plus bisection must reproduce the scalar exact extraction, for the
+// plus bisection must reproduce the LUT-less reference extraction, for the
 // golden CUT and for shifted ones, on both observations.
 func TestBatchedExactSignatureBitIdentical(t *testing.T) {
 	for _, obs := range []Observation{ObserveLP, ObserveBP} {
-		batched, scalar := Default(), scalarTwin()
-		batched.Observe, scalar.Observe = obs, obs
+		batched, ref := Default(), referenceTwin(t)
+		batched.Observe, ref.Observe = obs, obs
 		for _, shift := range []float64{0, 0.10, -0.07} {
 			cb, err := batched.Shifted(shift)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs, err := scalar.Shifted(shift)
+			cs, err := ref.Shifted(shift)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +66,7 @@ func TestBatchedExactSignatureBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss, err := scalar.ExactSignature(cs)
+			ss, err := ref.ExactSignature(cs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,15 +76,15 @@ func TestBatchedExactSignatureBitIdentical(t *testing.T) {
 }
 
 // TestBatchedCaptureBitIdentical: noiseless and noisy clocked captures
-// must match the scalar pipeline exactly — same RNG substream, same
+// must match the LUT-less reference exactly — same RNG substream, same
 // draws, same codes, same entries.
 func TestBatchedCaptureBitIdentical(t *testing.T) {
-	batched, scalar := Default(), scalarTwin()
+	batched, ref := Default(), referenceTwin(t)
 	cb, err := batched.Shifted(0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := scalar.Shifted(0.10)
+	cs, err := ref.Shifted(0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +93,7 @@ func TestBatchedCaptureBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := scalar.CapturedSignature(cs, 0, nil)
+	ss, err := ref.CapturedSignature(cs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +104,7 @@ func TestBatchedCaptureBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := scalar.CapturedSignature(cs, 0.005, rng.New(seed))
+		ss, err := ref.CapturedSignature(cs, 0.005, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,50 +125,21 @@ func TestBatchedCaptureBitIdentical(t *testing.T) {
 	}
 }
 
-// TestClassifyGridMatchesScalarClassifier: the exported batch classifier
-// must reproduce the scalar closure's codes, noise draws included.
-func TestClassifyGridMatchesScalarClassifier(t *testing.T) {
-	sys := Default()
-	cut, err := sys.Shifted(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := make([]float64, 700)
-	for i := range ts {
-		ts[i] = sys.Period() * float64(i) / float64(len(ts))
-	}
-	for _, sigma := range []float64{0, 0.005} {
-		codes := make([]monitor.Code, len(ts))
-		if err := sys.ClassifyGrid(cut, sigma, rng.New(42), ts, codes); err != nil {
-			t.Fatal(err)
-		}
-		cls, err := sys.Classifier(cut, sigma, rng.New(42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, tt := range ts {
-			if want := cls(tt); codes[i] != want {
-				t.Fatalf("sigma %g sample %d: batch %06b, scalar %06b", sigma, i, codes[i], want)
-			}
-		}
-	}
-}
-
 // TestBatchedAveragedNDFBitIdentical: the averaged campaign measurement
-// must agree with the scalar engine, on a fresh and on a warm (reused)
+// must agree with the LUT-less reference, on a fresh and on a warm (reused)
 // scratch.
 func TestBatchedAveragedNDFBitIdentical(t *testing.T) {
-	batched, scalar := Default(), scalarTwin()
+	batched, ref := Default(), referenceTwin(t)
 	cb, err := batched.Shifted(0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := scalar.Shifted(0.02)
+	cs, err := ref.Shifted(0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const periods = 4
-	want, err := scalar.AveragedNDFScratch(cs, 0.005, rng.New(9), periods, NewTrialScratch())
+	want, err := ref.AveragedNDFScratch(cs, 0.005, rng.New(9), periods, NewTrialScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,17 +150,17 @@ func TestBatchedAveragedNDFBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("%s scratch: batched %v, scalar %v", pass, got, want)
+			t.Fatalf("%s scratch: batched %v, reference %v", pass, got, want)
 		}
 	}
 }
 
-// TestBatchedSweepF0BitIdentical: the Fig. 8 sweep must be identical on
-// both engines and at any worker count.
+// TestBatchedSweepF0BitIdentical: the Fig. 8 sweep must equal the
+// LUT-less reference at any worker count.
 func TestBatchedSweepF0BitIdentical(t *testing.T) {
-	batched, scalar := Default(), scalarTwin()
+	batched, ref := Default(), referenceTwin(t)
 	shifts := []float64{-0.15, -0.05, 0, 0.03, 0.12}
-	want, err := scalar.SweepF0(context.Background(), shifts, campaign.Engine{Workers: 1})
+	want, err := ref.SweepF0(context.Background(), shifts, campaign.Engine{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +171,7 @@ func TestBatchedSweepF0BitIdentical(t *testing.T) {
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers %d, shift %g: batched %v, scalar %v",
+				t.Fatalf("workers %d, shift %g: batched %v, reference %v",
 					workers, shifts[i], got[i], want[i])
 			}
 		}

@@ -90,12 +90,6 @@ type System struct {
 	// Observe selects the monitored CUT output (default: low-pass).
 	// Set before first use; the golden signature is cached per system.
 	Observe Observation
-	// Scalar disables the batched tick-grid signature engine and runs
-	// the retained per-tick scalar pipeline — the reference baseline the
-	// batched engine is benchmarked and regression-tested against.
-	// Results are bit-identical either way (the zone LUT only answers
-	// where it can prove the scalar result). Set before first use.
-	Scalar bool
 
 	goldenOnce sync.Once
 	goldenSig  *signature.Signature
@@ -353,82 +347,18 @@ func EffectiveNoiseSigma(sigma float64) float64 {
 	return sigma * math.Sqrt(MonitorBandHz/NoiseBandHz)
 }
 
-// Classifier returns the instantaneous zone-code function for a CUT.
-// A non-nil noise stream adds band-limited Gaussian measurement noise to
-// both observed signals at every evaluation; sigma is the wideband spread
-// (the paper's 3σ = 0.015 V experiment uses sigma = 0.005) and the
-// monitor sees EffectiveNoiseSigma(sigma) of it.
-func (s *System) Classifier(c CUT, sigma float64, noise *rng.Stream) (signature.Classifier, error) {
-	out, err := s.output(c)
-	if err != nil {
-		return nil, err
-	}
-	if sigma <= 0 || noise == nil {
-		return func(t float64) monitor.Code {
-			return s.Bank.Classify(s.Stimulus.Eval(t), out.Eval(t))
-		}, nil
-	}
-	eff := EffectiveNoiseSigma(sigma)
-	return func(t float64) monitor.Code {
-		x := s.Stimulus.Eval(t) + noise.Gauss(0, eff)
-		y := out.Eval(t) + noise.Gauss(0, eff)
-		return s.Bank.Classify(x, y)
-	}, nil
-}
-
-// ClassifyGrid is the batch variant of Classifier: it fills codes[i]
-// with the zone code of CUT c at time ts[i]. Outputs are evaluated
-// through the waveform batch API and codes come from the bank's
-// certified zone LUT, but the result is bit-identical to calling the
-// scalar Classifier at the same times in order — measurement noise
-// (sigma > 0 with a non-nil stream) is drawn in sample order, x before
-// y, exactly as the scalar closure draws it.
-func (s *System) ClassifyGrid(c CUT, sigma float64, noise *rng.Stream, ts []float64, codes []monitor.Code) error {
-	if len(ts) != len(codes) {
-		return fmt.Errorf("core: ClassifyGrid needs len(ts) == len(codes)")
-	}
-	out, err := s.output(c)
-	if err != nil {
-		return err
-	}
-	sc := NewTrialScratch()
-	xs := sc.growXs(len(ts))
-	wave.EvalInto(s.Stimulus, ts, xs)
-	ys := sc.growYs(len(ts))
-	wave.EvalInto(out, ts, ys)
-	if sigma > 0 && noise != nil {
-		eff := EffectiveNoiseSigma(sigma)
-		for k := range xs {
-			xs[k] += noise.Gauss(0, eff)
-			ys[k] += noise.Gauss(0, eff)
-		}
-	}
-	s.Bank.ClassifyBatch(xs, ys, codes)
-	return nil
-}
-
 // ExactSignature computes the ideal (unquantized, noiseless) signature
 // of a CUT.
 func (s *System) ExactSignature(c CUT) (*signature.Signature, error) {
 	return s.exactSignature(c, nil)
 }
 
-// exactSignature is ExactSignature with optional per-worker scratch. The
-// batched path classifies the scan grid (scanCodes) and bisects the
-// bracketed transitions with Bank.ClassifyPoint, which reads the bits
-// the LUT proves and evaluates only the rest exactly, so the result is
-// bit-identical to the scalar scan.
+// exactSignature is ExactSignature with optional per-worker scratch. It
+// classifies the scan grid (scanCodes) and bisects the bracketed
+// transitions with Bank.ClassifyPoint, which reads the bits the LUT
+// proves and evaluates only the rest exactly, so every code equals
+// Bank.Classify at the same point.
 func (s *System) exactSignature(c CUT, sc *TrialScratch) (*signature.Signature, error) {
-	if s.Scalar {
-		out, err := s.output(c)
-		if err != nil {
-			return nil, err
-		}
-		cls := func(t float64) monitor.Code {
-			return s.Bank.Classify(s.Stimulus.Eval(t), out.Eval(t))
-		}
-		return signature.Exact(cls, s.Period(), s.ScanN, 0)
-	}
 	out, err := s.outputScratch(c, sc)
 	if err != nil {
 		return nil, err
@@ -490,23 +420,11 @@ func (s *System) CapturedSignatureScratch(c CUT, sigma float64, noise *rng.Strea
 	return s.capturedSignature(c, sigma, noise, sc)
 }
 
-// capturedSignature implements the capture paths: the batched tick-grid
-// engine (cached stimulus grid, batch output evaluation, zone-LUT
-// classification, codes-slice capture) or — when s.Scalar is set — the
-// per-tick scalar pipeline. Both produce bit-identical signatures; a nil
-// sc degrades to one-shot scratch with a caller-owned result.
+// capturedSignature implements the tick-grid capture: cached stimulus
+// grid, batch output evaluation, zone-LUT classification and codes-slice
+// capture. Measurement noise is drawn per tick in tick order, x before
+// y. A nil sc degrades to one-shot scratch with a caller-owned result.
 func (s *System) capturedSignature(c CUT, sigma float64, noise *rng.Stream, sc *TrialScratch) (*signature.Signature, error) {
-	if s.Scalar {
-		cls, err := s.Classifier(c, sigma, noise)
-		if err != nil {
-			return nil, err
-		}
-		var buf *signature.CaptureBuffer
-		if sc != nil {
-			buf = &sc.capture
-		}
-		return signature.CaptureCanonical(cls, s.Period(), s.Capture, buf)
-	}
 	out, err := s.outputScratch(c, sc)
 	if err != nil {
 		return nil, err
@@ -620,10 +538,9 @@ func (s *System) SweepF0(ctx context.Context, shifts []float64, eng campaign.Eng
 // substream noise.Split(k). The periods run serially on the caller's
 // scratch — campaign runners call this inside their own worker pools, so
 // every trial a worker executes reuses one set of buffers. Scratch never
-// affects the result. In the batched engine the clean output tick
-// samples are evaluated once per call and shared read-only by every
-// period's capture (each period only adds its own noise draws on top),
-// which is where most of the per-period work of the scalar pipeline went.
+// affects the result. The clean output tick samples are evaluated once
+// per call and shared read-only by every period's capture; each period
+// only adds its own noise draws on top.
 func (s *System) AveragedNDFScratch(c CUT, sigma float64, noise *rng.Stream, periods int, sc *TrialScratch) (float64, error) {
 	if periods < 1 {
 		periods = 1
@@ -640,52 +557,38 @@ func (s *System) AveragedNDFScratch(c CUT, sigma float64, noise *rng.Stream, per
 	if err != nil {
 		return 0, err
 	}
-	var period func(src *rng.Stream) (float64, error)
-	if s.Scalar {
-		period = func(src *rng.Stream) (float64, error) {
-			obs, err := s.capturedSignature(c, sigma, src, sc)
-			if err != nil {
-				return 0, err
-			}
-			return ndf.NDF(obs, g)
-		}
-	} else {
-		ts, xs, err := s.ticks()
-		if err != nil {
-			return 0, err
-		}
-		// The clean samples live in the caller's scratch, apart from the
-		// buffers each period grows.
-		sc.ybase = grow(sc.ybase, len(ts))
-		ybase := sc.ybase
-		wave.EvalInto(out, ts, ybase)
-		eff := EffectiveNoiseSigma(sigma)
-		period = func(src *rng.Stream) (float64, error) {
-			xv, yv := xs, ybase
-			if sigma > 0 && src != nil {
-				n := len(ts)
-				xv, yv = sc.growXs(n), sc.growYs(n)
-				for i := 0; i < n; i++ {
-					xv[i] = xs[i] + src.Gauss(0, eff)
-					yv[i] = ybase[i] + src.Gauss(0, eff)
-				}
-			}
-			codes := sc.capture.Codes(len(xv))
-			s.Bank.ClassifyBatch(xv, yv, codes)
-			obs, err := signature.CaptureCanonicalCodes(codes, s.Period(), s.Capture, &sc.capture)
-			if err != nil {
-				return 0, err
-			}
-			return ndf.NDF(obs, g)
-		}
+	ts, xs, err := s.ticks()
+	if err != nil {
+		return 0, err
 	}
+	// The clean samples live in the caller's scratch, apart from the
+	// buffers each period grows.
+	sc.ybase = grow(sc.ybase, len(ts))
+	ybase := sc.ybase
+	wave.EvalInto(out, ts, ybase)
+	eff := EffectiveNoiseSigma(sigma)
 	sum := 0.0
 	for k := 0; k < periods; k++ {
 		var src *rng.Stream
 		if noise != nil {
 			src = noise.Split(uint64(k))
 		}
-		v, err := period(src)
+		xv, yv := xs, ybase
+		if sigma > 0 && src != nil {
+			n := len(ts)
+			xv, yv = sc.growXs(n), sc.growYs(n)
+			for i := 0; i < n; i++ {
+				xv[i] = xs[i] + src.Gauss(0, eff)
+				yv[i] = ybase[i] + src.Gauss(0, eff)
+			}
+		}
+		codes := sc.capture.Codes(len(xv))
+		s.Bank.ClassifyBatch(xv, yv, codes)
+		obs, err := signature.CaptureCanonicalCodes(codes, s.Period(), s.Capture, &sc.capture)
+		if err != nil {
+			return 0, err
+		}
+		v, err := ndf.NDF(obs, g)
 		if err != nil {
 			return 0, err
 		}

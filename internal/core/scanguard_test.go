@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/monitor"
 	"repro/internal/signature"
+	"repro/internal/wave"
 )
 
 // TestScanStepsResolveSingleTransitions guards the known approximation of
@@ -29,6 +30,8 @@ func TestScanStepsResolveSingleTransitions(t *testing.T) {
 	for i := range ts {
 		ts[i] = T * float64(i) / float64(sys.ScanN)
 	}
+	xs, ys := make([]float64, len(ts)), make([]float64, len(ts))
+	wave.EvalInto(sys.Stimulus, ts, xs)
 	codes := make([]monitor.Code, len(ts))
 	const points = 17 // the fig8 campaign's sweep grid
 	for k := 0; k < points; k++ {
@@ -37,9 +40,12 @@ func TestScanStepsResolveSingleTransitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.ClassifyGrid(c, 0, nil, ts, codes); err != nil {
+		out, err := sys.output(c)
+		if err != nil {
 			t.Fatal(err)
 		}
+		wave.EvalInto(out, ts, ys)
+		sys.Bank.ClassifyBatch(xs, ys, codes)
 		for i := 1; i < len(codes); i++ {
 			if d := codes[i].HammingDistance(codes[i-1]); d > 1 {
 				t.Fatalf("shift %+.3f: scan step %d (t=%g) changes %d monitor bits (%06b -> %06b)",

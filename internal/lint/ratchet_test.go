@@ -20,18 +20,35 @@ import (
 // fail here instead of arriving with a fresh directive; retiring one of
 // the two means shortening this list.
 func TestCtxflowExceptionsRatchet(t *testing.T) {
-	want := []string{"serve.New", "testbench.CalibrateMultiParam"}
-	got := ctxflowExceptions(t, filepath.Join("..", ".."))
+	checkExceptions(t, "ctxflow", "serve.New", "testbench.CalibrateMultiParam")
+}
+
+// TestHotallocExceptionsRatchet pins the module's hotalloc directives to
+// the three that must exist: the caller-owned miss buffer appended to by
+// monitor.ClassifyBounded and monitor.scan, and the cold wrong-length
+// error of signature.CaptureCanonicalCodes. An allocation in a new or
+// changed hot path has to fail here instead of arriving with a fresh
+// directive.
+func TestHotallocExceptionsRatchet(t *testing.T) {
+	checkExceptions(t, "hotalloc", "monitor.ClassifyBounded", "monitor.scan", "signature.CaptureCanonicalCodes")
+}
+
+// checkExceptions fails unless the analyzer's directives sit in exactly
+// the want sites (listed in sorted order).
+func checkExceptions(t *testing.T, analyzer string, want ...string) {
+	t.Helper()
+	got := exceptions(t, filepath.Join("..", ".."), analyzer)
 	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("ctxflow directives sit in %v, want exactly %v", got, want)
+		t.Fatalf("%s directives sit in %v, want exactly %v", analyzer, got, want)
 	}
 }
 
-// ctxflowExceptions parses every non-test Go file of the module rooted
-// at root (skipping testdata and nested modules, which mclint never
-// loads) and returns "package.Func" for each ctxflow directive, sorted.
-// A directive outside any function reports as "package.file:line".
-func ctxflowExceptions(t *testing.T, root string) []string {
+// exceptions parses every non-test Go file of the module rooted at root
+// (skipping testdata and nested modules, which mclint never loads) and
+// returns "package.Func" for each directive of the named analyzer,
+// sorted. A directive outside any function reports as
+// "package.file:line".
+func exceptions(t *testing.T, root, analyzer string) []string {
 	t.Helper()
 	var out []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -60,7 +77,7 @@ func ctxflowExceptions(t *testing.T, root string) []string {
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if d, ok := parseDirective(c); ok && d.name == "ctxflow" {
+				if d, ok := parseDirective(c); ok && d.name == analyzer {
 					out = append(out, enclosingFunc(fset, f, c.Pos()))
 				}
 			}

@@ -254,9 +254,15 @@ func TestPaperNDFOrderOfMagnitude(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := f.SteadyState(in)
-		s, err := signature.Exact(func(tt float64) monitor.Code {
+		cls := func(tt float64) monitor.Code {
 			return bank.Classify(in.Eval(tt), out.Eval(tt))
-		}, in.Period(), 8192, 1e-12)
+		}
+		const nScan = 8192
+		codes := make([]monitor.Code, nScan+1)
+		for i := range codes {
+			codes[i] = cls(in.Period() * float64(i) / nScan)
+		}
+		s, err := signature.ExactFromCodes(codes, cls, in.Period(), 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}

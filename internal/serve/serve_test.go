@@ -153,6 +153,29 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// The retired "scalar" engine knob is no longer a spec field: a spec
+// carrying it is refused like any other unknown field, before any job is
+// created.
+func TestSubmitRejectsScalarField(t *testing.T) {
+	s, ts := newTestServer(t)
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json",
+		strings.NewReader(`{"campaign":"fig8","scalar":true,"params":{"max_dev":0.1,"points":5,"tol":0.05}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.String(), `unknown field \"scalar\"`) {
+		t.Fatalf("spec with scalar: status %s, body %s; want 400 naming the unknown field", resp.Status, body.String())
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("%d jobs created by a spec with an unknown field", n)
+	}
+}
+
 // oversizeBody is a JSON object whose one string field alone exceeds
 // maxBodyBytes, wrapped around the given leading fields.
 func oversizeBody(fields string) string {

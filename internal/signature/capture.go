@@ -48,8 +48,9 @@ func (c CaptureConfig) Validate() error {
 func (c CaptureConfig) MaxCount() uint64 { return 1<<uint(c.CounterBits) - 1 }
 
 // Ticks returns the number of master-clock samples one capture takes
-// over period T — the length of the per-tick code slice the batched
-// pipeline supplies (tick k samples t = k/ClockHz, k = 0 … n−1).
+// over period T — the length of the per-tick code slice
+// CaptureCanonicalCodes walks (tick k samples t = k/ClockHz,
+// k = 0 … n−1).
 func (c CaptureConfig) Ticks(T float64) (int, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
@@ -65,21 +66,6 @@ func (c CaptureConfig) Ticks(T float64) (int, error) {
 	return n, nil
 }
 
-// Capture runs the clocked acquisition over one period T: the classifier
-// is sampled on every master-clock tick; a code change latches the
-// counter into the time register and resets it. If a zone dwell exceeds
-// the counter range, the counter wraps and the capture emits a split
-// entry of the maximum measurable duration — the post-processing
-// Canonical() merge restores the total dwell, which is how the readout
-// software of such a monitor recovers long intervals.
-func Capture(classify Classifier, T float64, cfg CaptureConfig) (*Signature, error) {
-	entries, err := captureRaw(classify, T, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Signature{Period: T, Entries: entries}, nil
-}
-
 // CaptureBuffer holds reusable scratch for repeated captures, so a
 // Monte-Carlo trial loop does not re-allocate the raw entry sequence,
 // the per-tick code grid, or the canonical result on every period. One
@@ -93,7 +79,7 @@ type CaptureBuffer struct {
 }
 
 // Codes returns the buffer's per-tick code scratch resized to n slots
-// (contents undefined). The batched pipeline fills it and hands it to
+// (contents undefined). The caller fills it and hands it to
 // CaptureCanonicalCodes; reusing the buffer's scratch keeps the steady
 // state allocation-free.
 func (b *CaptureBuffer) Codes(n int) []monitor.Code {
@@ -104,32 +90,23 @@ func (b *CaptureBuffer) Codes(n int) []monitor.Code {
 	return b.codes
 }
 
-// CaptureCanonical is Capture followed by Canonical. With a nil buf both
-// the scratch and the result are freshly allocated and the caller owns
-// the signature. With a non-nil buf the raw (wrap-split) sequence, the
-// canonical merge and the returned Signature header all live in the
-// buffer: zero steady-state allocations, but the result is only valid
-// until the buffer's next capture — campaign workers consume the NDF and
-// discard the signature before the next trial, which is exactly that
-// contract. Either way the result is bit-identical to
-// Capture(...).Canonical().
+// CaptureCanonicalCodes runs the clocked acquisition of Fig. 5 over one
+// period T and merges the result into its canonical form. The caller has
+// already classified every master-clock tick (codes[k] = code at
+// t = k/ClockHz, len(codes) == cfg.Ticks(T)); the capture hardware model
+// walks the slice: a code change latches the counter into the time
+// register and resets it, and a dwell beyond the counter range wraps and
+// emits a split entry of the maximum measurable duration, which the
+// canonical merge joins back into the total dwell — how the readout
+// software of such a monitor recovers long intervals.
 //
-//mclint:hotpath
-func CaptureCanonical(classify Classifier, T float64, cfg CaptureConfig, buf *CaptureBuffer) (*Signature, error) {
-	raw, err := captureRaw(classify, T, cfg, buf)
-	if err != nil {
-		return nil, err
-	}
-	return canonicalFromRaw(raw, T, buf), nil
-}
-
-// CaptureCanonicalCodes is CaptureCanonical for the batched pipeline:
-// the caller has already classified every master-clock tick
-// (codes[k] = code at t = k/ClockHz, len(codes) == cfg.Ticks(T)) and the
-// capture hardware model just walks the slice. Buffer semantics match
-// CaptureCanonical; codes may alias buf.Codes. The result is
-// bit-identical to the scalar CaptureCanonical fed a classifier that
-// returns the same per-tick codes.
+// With a nil buf the scratch and the result are freshly allocated and
+// the caller owns the signature. With a non-nil buf the raw (wrap-split)
+// sequence, the canonical merge and the returned Signature header all
+// live in the buffer: zero steady-state allocations, but the result is
+// only valid until the buffer's next capture — campaign workers consume
+// the NDF and discard the signature before the next trial, which is
+// exactly that contract. codes may alias buf.Codes.
 //
 //mclint:hotpath
 func CaptureCanonicalCodes(codes []monitor.Code, T float64, cfg CaptureConfig, buf *CaptureBuffer) (*Signature, error) {
@@ -141,57 +118,15 @@ func CaptureCanonicalCodes(codes []monitor.Code, T float64, cfg CaptureConfig, b
 		//mclint:hotalloc cold misuse path; runs once per bad call, never in the trial loop
 		return nil, fmt.Errorf("signature: got %d tick codes, capture needs %d", len(codes), n)
 	}
-	raw, err := walkIntoBuf(codes, T, cfg, buf)
-	if err != nil {
-		return nil, err
-	}
-	return canonicalFromRaw(raw, T, buf), nil
-}
-
-// walkIntoBuf runs walkCodes with the buffer's raw scratch (writing the
-// grown slice back) and maps an empty result to ErrEmpty — the buffer
-// bookkeeping shared by the scalar and codes-slice capture paths.
-func walkIntoBuf(codes []monitor.Code, T float64, cfg CaptureConfig, buf *CaptureBuffer) ([]Entry, error) {
 	var scratch []Entry
 	if buf != nil {
 		scratch = buf.raw[:0]
 	}
-	entries := walkCodes(codes, T, cfg, scratch)
+	raw := walkCodes(codes, T, cfg, scratch)
 	if buf != nil {
-		buf.raw = entries
+		buf.raw = raw
 	}
-	if len(entries) == 0 {
-		return entries, ErrEmpty
-	}
-	return entries, nil
-}
-
-// captureRaw samples the classifier on every master-clock tick into the
-// buffer's code scratch and walks the resulting sequence — the capture
-// hardware model shared by Capture and CaptureCanonical. The classifier
-// is invoked in tick order (k = 0 … n−1), so stateful classifiers (the
-// measurement-noise path) draw exactly as they did when the acquisition
-// loop was fused.
-//
-//mclint:hotpath
-func captureRaw(classify Classifier, T float64, cfg CaptureConfig, buf *CaptureBuffer) ([]Entry, error) {
-	n, err := cfg.Ticks(T)
-	if err != nil {
-		return nil, err
-	}
-	var codes []monitor.Code
-	if buf != nil {
-		codes = buf.Codes(n)
-	} else {
-		//mclint:hotalloc nil-buf convenience path; the steady-state trial loop always passes a CaptureBuffer
-		codes = make([]monitor.Code, n)
-	}
-	tick := 1 / cfg.ClockHz
-	codes[0] = classify(0)
-	for k := 1; k < n; k++ {
-		codes[k] = classify(float64(k) * tick)
-	}
-	return walkIntoBuf(codes, T, cfg, buf)
+	return canonicalFromRaw(raw, T, buf), nil
 }
 
 // walkCodes runs the Fig. 5 transition detector + m-bit counter over the

@@ -9,12 +9,12 @@ import (
 	"repro/internal/rng"
 )
 
-// fillCodes samples a classifier on the capture tick grid.
-func fillCodes(t *testing.T, cls Classifier, T float64, cfg CaptureConfig) []monitor.Code {
-	t.Helper()
+// tickCodes samples a classifier on the capture tick grid, in tick
+// order.
+func tickCodes(cls Classifier, T float64, cfg CaptureConfig) ([]monitor.Code, error) {
 	n, err := cfg.Ticks(T)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	tick := 1 / cfg.ClockHz
 	codes := make([]monitor.Code, n)
@@ -22,7 +22,34 @@ func fillCodes(t *testing.T, cls Classifier, T float64, cfg CaptureConfig) []mon
 	for k := 1; k < n; k++ {
 		codes[k] = cls(float64(k) * tick)
 	}
+	return codes, nil
+}
+
+// fillCodes is tickCodes for a configuration the test knows is valid.
+func fillCodes(t *testing.T, cls Classifier, T float64, cfg CaptureConfig) []monitor.Code {
+	t.Helper()
+	codes, err := tickCodes(cls, T, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return codes
+}
+
+// capture is the canonical clocked capture of a classifier.
+func capture(t *testing.T, cls Classifier, T float64, cfg CaptureConfig) *Signature {
+	t.Helper()
+	sig, err := CaptureCanonicalCodes(fillCodes(t, cls, T, cfg), T, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sig
+}
+
+// rawCapture is the clocked capture before the canonical merge: counter
+// wraps show as split entries of the maximum measurable duration.
+func rawCapture(t *testing.T, cls Classifier, T float64, cfg CaptureConfig) *Signature {
+	t.Helper()
+	return &Signature{Period: T, Entries: walkCodes(fillCodes(t, cls, T, cfg), T, cfg, nil)}
 }
 
 func sameSignature(a, b *Signature) bool {
@@ -37,9 +64,11 @@ func sameSignature(a, b *Signature) bool {
 	return true
 }
 
-// TestCaptureCanonicalCodesMatchesScalar: walking a precomputed code
-// slice must be bit-identical to the scalar per-tick capture, across
-// deglitching depths and counter-wrap splits.
+// TestCaptureCanonicalCodesMatchesScalar: a staircase of k equal zones
+// per period must capture as exactly k dwells of T/k within clock
+// quantization, across deglitching depths and counter-wrap splits, and
+// a capture whose codes alias the buffer's own tick scratch must equal
+// the one-shot capture of a separate code slice.
 func TestCaptureCanonicalCodesMatchesScalar(t *testing.T) {
 	T := 200e-6
 	cfgs := []CaptureConfig{
@@ -48,23 +77,36 @@ func TestCaptureCanonicalCodesMatchesScalar(t *testing.T) {
 		{ClockHz: 10e6, CounterBits: 16, MinStableTicks: 4},
 		{ClockHz: 2.5e6, CounterBits: 12},
 	}
+	buf := &CaptureBuffer{}
 	for _, cfg := range cfgs {
+		tick := 1 / cfg.ClockHz
 		for seed := uint8(0); seed < 8; seed++ {
 			k := 2 + int(seed%5)
 			cls := func(t float64) monitor.Code {
 				frac := math.Mod(t, T) / T
 				return monitor.Code(int(frac*float64(k)) % k)
 			}
-			want, err := CaptureCanonical(cls, T, cfg, nil)
+			codes := fillCodes(t, cls, T, cfg)
+			want, err := CaptureCanonicalCodes(codes, T, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := CaptureCanonicalCodes(fillCodes(t, cls, T, cfg), T, cfg, nil)
+			if len(want.Entries) != k {
+				t.Fatalf("cfg %+v, %d zones: %d entries %v", cfg, k, len(want.Entries), want)
+			}
+			for i, e := range want.Entries {
+				if e.Code != monitor.Code(i) || math.Abs(e.Dur-T/float64(k)) > 2*tick {
+					t.Fatalf("cfg %+v, %d zones: entry %d is %v, want code %d for %v", cfg, k, i, e, i, T/float64(k))
+				}
+			}
+			aliased := buf.Codes(len(codes))
+			copy(aliased, codes)
+			got, err := CaptureCanonicalCodes(aliased, T, cfg, buf)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !sameSignature(want, got) {
-				t.Fatalf("cfg %+v seed %d: codes path %v, scalar path %v", cfg, seed, got, want)
+				t.Fatalf("cfg %+v seed %d: aliased buffer capture %v, one-shot %v", cfg, seed, got, want)
 			}
 		}
 	}
@@ -83,11 +125,12 @@ func TestCaptureCanonicalBufferReuse(t *testing.T) {
 			frac := math.Mod(t, T) / T
 			return monitor.Code(int(frac*float64(k)) % k)
 		}
-		fresh, err := CaptureCanonical(cls, T, cfg, nil)
+		codes := fillCodes(t, cls, T, cfg)
+		fresh, err := CaptureCanonicalCodes(codes, T, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := CaptureCanonical(cls, T, cfg, buf)
+		warm, err := CaptureCanonicalCodes(codes, T, cfg, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,19 +160,12 @@ func TestCaptureCanonicalAllocationFree(t *testing.T) {
 	}
 	T := 200e-6
 	cfg := DefaultCapture()
-	cls := stepClassifier(T)
 	buf := &CaptureBuffer{}
-	if _, err := CaptureCanonical(cls, T, cfg, buf); err != nil {
+	codes := buf.Codes(2000)
+	copy(codes, fillCodes(t, stepClassifier(T), T, cfg))
+	if _, err := CaptureCanonicalCodes(codes, T, cfg, buf); err != nil {
 		t.Fatal(err)
 	}
-	if a := testing.AllocsPerRun(50, func() {
-		if _, err := CaptureCanonical(cls, T, cfg, buf); err != nil {
-			t.Fatal(err)
-		}
-	}); a != 0 {
-		t.Fatalf("warm CaptureCanonical allocates %.1f per capture, want 0", a)
-	}
-	codes := buf.Codes(2000)
 	if a := testing.AllocsPerRun(50, func() {
 		if _, err := CaptureCanonicalCodes(codes, T, cfg, buf); err != nil {
 			t.Fatal(err)
@@ -139,27 +175,35 @@ func TestCaptureCanonicalAllocationFree(t *testing.T) {
 	}
 }
 
-// TestExactFromCodesMatchesExact: the grid-then-bisect split must equal
-// the fused scalar Exact for deterministic classifiers.
+// TestExactFromCodesMatchesExact: grid-then-bisect extraction must find
+// the classifier's exact transitions (0.25, 0.5 and 0.9 of the period)
+// within the bisection tolerance at any scan grid that separates them.
 func TestExactFromCodesMatchesExact(t *testing.T) {
 	T := 1e-3
 	cls := stepClassifier(T)
-	const nScan = 4096
-	want, err := Exact(cls, T, nScan, 1e-12)
-	if err != nil {
-		t.Fatal(err)
+	const tol = 1e-12
+	wantCodes := []monitor.Code{0, 1, 3, 2}
+	wantEdges := []float64{0.25 * T, 0.5 * T, 0.9 * T}
+	for _, nScan := range []int{20, 999, 4096} {
+		sig, err := exact(cls, T, nScan, tol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sig.Entries) != len(wantCodes) {
+			t.Fatalf("nScan %d: %d entries, want %d: %v", nScan, len(sig.Entries), len(wantCodes), sig)
+		}
+		edge := 0.0
+		for i, e := range sig.Entries {
+			if e.Code != wantCodes[i] {
+				t.Fatalf("nScan %d: entry %d code %d, want %d", nScan, i, e.Code, wantCodes[i])
+			}
+			edge += e.Dur
+			if i < len(wantEdges) && math.Abs(edge-wantEdges[i]) > 2*tol {
+				t.Fatalf("nScan %d: edge %d at %v, want %v", nScan, i, edge, wantEdges[i])
+			}
+		}
 	}
-	codes := make([]monitor.Code, nScan+1)
-	for i := range codes {
-		codes[i] = cls(T * float64(i) / float64(nScan))
-	}
-	got, err := ExactFromCodes(codes, cls, T, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameSignature(want, got) {
-		t.Fatalf("ExactFromCodes %v, Exact %v", got, want)
-	}
+	codes := make([]monitor.Code, 3)
 	if _, err := ExactFromCodes(codes[:2], cls, T, 0); err == nil {
 		t.Fatal("2-point code grid accepted (needs at least 2 scan intervals)")
 	}

@@ -27,18 +27,12 @@ func chatterClassifier(T float64, src *rng.Stream) Classifier {
 
 func TestDeglitchSuppressesChatter(t *testing.T) {
 	T := 200e-6
-	raw, err := Capture(chatterClassifier(T, rng.New(5)), T,
+	raw := capture(t, chatterClassifier(T, rng.New(5)), T,
 		CaptureConfig{ClockHz: 10e6, CounterBits: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg, err := Capture(chatterClassifier(T, rng.New(5)), T,
+	deg := capture(t, chatterClassifier(T, rng.New(5)), T,
 		CaptureConfig{ClockHz: 10e6, CounterBits: 16, MinStableTicks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawN := len(raw.Canonical().Entries)
-	degN := len(deg.Canonical().Entries)
+	rawN := len(raw.Entries)
+	degN := len(deg.Entries)
 	if rawN <= 3 {
 		t.Fatalf("chatter model produced no spurious transitions (%d entries)", rawN)
 	}
@@ -53,14 +47,8 @@ func TestDeglitchSuppressesChatter(t *testing.T) {
 func TestDeglitchPreservesCleanSignature(t *testing.T) {
 	T := 200e-6
 	cls := stepClassifier(T)
-	plain, err := Capture(cls, T, CaptureConfig{ClockHz: 10e6, CounterBits: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg, err := Capture(cls, T, CaptureConfig{ClockHz: 10e6, CounterBits: 16, MinStableTicks: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := rawCapture(t, cls, T, CaptureConfig{ClockHz: 10e6, CounterBits: 16})
+	deg := rawCapture(t, cls, T, CaptureConfig{ClockHz: 10e6, CounterBits: 16, MinStableTicks: 3})
 	if len(plain.Entries) != len(deg.Entries) {
 		t.Fatalf("deglitch changed clean structure: %d vs %d entries",
 			len(plain.Entries), len(deg.Entries))
@@ -88,11 +76,8 @@ func TestDeglitchValidation(t *testing.T) {
 
 func TestDeglitchDurationsStillSumToPeriod(t *testing.T) {
 	T := 200e-6
-	sig, err := Capture(chatterClassifier(T, rng.New(9)), T,
+	sig := rawCapture(t, chatterClassifier(T, rng.New(9)), T,
 		CaptureConfig{ClockHz: 10e6, CounterBits: 16, MinStableTicks: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sum := 0.0
 	for _, e := range sig.Entries {
 		sum += e.Dur

@@ -2,23 +2,30 @@ package signature_test
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/monitor"
 	"repro/internal/signature"
 )
 
-// Fig. 5's clocked capture: a classifier crossing two zones is sampled
-// at the master clock, dwell times come from the m-bit counter.
-func ExampleCapture() {
+// Fig. 5's clocked capture: the zone code of every master-clock tick
+// (here two zones, split at 80 µs) feeds the transition detector, and
+// dwell times come from the m-bit counter.
+func ExampleCaptureCanonicalCodes() {
 	T := 200e-6
-	classify := func(t float64) monitor.Code {
-		if math.Mod(t, T) < 80e-6 {
-			return 0b000100
-		}
-		return 0b000101
+	cfg := signature.DefaultCapture()
+	n, err := cfg.Ticks(T)
+	if err != nil {
+		fmt.Println(err)
+		return
 	}
-	sig, err := signature.Capture(classify, T, signature.DefaultCapture())
+	codes := make([]monitor.Code, n)
+	for k := range codes {
+		codes[k] = 0b000100
+		if float64(k)/cfg.ClockHz >= 80e-6 {
+			codes[k] = 0b000101
+		}
+	}
+	sig, err := signature.CaptureCanonicalCodes(codes, T, cfg, nil)
 	if err != nil {
 		fmt.Println(err)
 		return

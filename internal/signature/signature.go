@@ -180,31 +180,13 @@ func (s *Signature) String() string {
 	return b.String()
 }
 
-// Exact extracts the ideal (unquantized) signature of a classifier over
-// one period T: it scans with nScan samples and refines every transition
-// instant by bisection to tol seconds. It is the reference the clocked
-// capture is tested against.
-func Exact(classify Classifier, T float64, nScan int, tol float64) (*Signature, error) {
-	if T <= 0 {
-		return nil, fmt.Errorf("signature: period %g must be positive", T)
-	}
-	if nScan < 2 {
-		return nil, fmt.Errorf("signature: need at least 2 scan points")
-	}
-	codes := make([]monitor.Code, nScan+1)
-	for i := 0; i <= nScan; i++ {
-		codes[i] = classify(T * float64(i) / float64(nScan))
-	}
-	return ExactFromCodes(codes, classify, T, tol)
-}
-
-// ExactFromCodes is Exact for the batched pipeline: the scan grid has
-// already been classified (codes[i] = code at T·i/nScan for
-// i = 0 … nScan, so len(codes) = nScan+1) and only the transition
-// brackets found on the grid are refined by bisection with classify,
-// which must agree exactly with the classifier that produced the grid
-// (core routes it through the bank's certified LUT). The result is
-// bit-identical to Exact with a classifier returning the same grid codes.
+// ExactFromCodes extracts the ideal (unquantized) signature over one
+// period T from a classified scan grid: codes[i] is the code at
+// T·i/nScan for i = 0 … nScan (so len(codes) = nScan+1), and every
+// transition bracketed on the grid is refined by bisection to tol
+// seconds with classify, which must agree exactly with the classifier
+// that produced the grid (core routes it through the bank's certified
+// LUT). It is the reference the clocked capture is tested against.
 func ExactFromCodes(codes []monitor.Code, classify Classifier, T float64, tol float64) (*Signature, error) {
 	nScan := len(codes) - 1
 	if T <= 0 {

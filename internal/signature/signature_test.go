@@ -29,9 +29,19 @@ func stepClassifier(T float64) Classifier {
 	}
 }
 
+// exact classifies the nScan+1 points T·i/nScan with cls and extracts
+// the exact signature from that grid, bisecting with the same cls.
+func exact(cls Classifier, T float64, nScan int, tol float64) (*Signature, error) {
+	codes := make([]monitor.Code, nScan+1)
+	for i := range codes {
+		codes[i] = cls(T * float64(i) / float64(nScan))
+	}
+	return ExactFromCodes(codes, cls, T, tol)
+}
+
 func TestExactKnownTransitions(t *testing.T) {
 	T := 1e-3
-	sig, err := Exact(stepClassifier(T), T, 4096, 1e-12)
+	sig, err := exact(stepClassifier(T), T, 4096, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +64,7 @@ func TestExactKnownTransitions(t *testing.T) {
 }
 
 func TestExactConstantClassifier(t *testing.T) {
-	sig, err := Exact(func(float64) monitor.Code { return 7 }, 1e-3, 128, 0)
+	sig, err := exact(func(float64) monitor.Code { return 7 }, 1e-3, 128, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,17 +77,18 @@ func TestExactConstantClassifier(t *testing.T) {
 }
 
 func TestExactValidation(t *testing.T) {
-	if _, err := Exact(stepClassifier(1), 0, 100, 0); err == nil {
+	cls := stepClassifier(1)
+	if _, err := ExactFromCodes(make([]monitor.Code, 101), cls, 0, 0); err == nil {
 		t.Fatal("zero period accepted")
 	}
-	if _, err := Exact(stepClassifier(1), 1, 1, 0); err == nil {
-		t.Fatal("single scan point accepted")
+	if _, err := ExactFromCodes(make([]monitor.Code, 2), cls, 1, 0); err == nil {
+		t.Fatal("single scan interval accepted")
 	}
 }
 
 func TestAtLookup(t *testing.T) {
 	T := 1e-3
-	sig, _ := Exact(stepClassifier(T), T, 4096, 1e-12)
+	sig, _ := exact(stepClassifier(T), T, 4096, 1e-12)
 	cases := []struct {
 		t    float64
 		want monitor.Code
@@ -119,29 +130,26 @@ func TestValidateCatchesCorruption(t *testing.T) {
 func TestCaptureMatchesExact(t *testing.T) {
 	T := 200e-6
 	cls := stepClassifier(T)
-	exact, err := Exact(cls, T, 8192, 1e-12)
+	ref, err := exact(cls, T, 8192, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultCapture()
-	cap, err := Capture(cls, T, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cap := capture(t, cls, T, cfg)
 	if err := cap.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(cap.Entries) != len(exact.Entries) {
-		t.Fatalf("captured %d entries vs exact %d", len(cap.Entries), len(exact.Entries))
+	if len(cap.Entries) != len(ref.Entries) {
+		t.Fatalf("captured %d entries vs exact %d", len(cap.Entries), len(ref.Entries))
 	}
 	tick := 1 / cfg.ClockHz
 	for i := range cap.Entries {
-		if cap.Entries[i].Code != exact.Entries[i].Code {
+		if cap.Entries[i].Code != ref.Entries[i].Code {
 			t.Fatalf("entry %d code mismatch", i)
 		}
-		if math.Abs(cap.Entries[i].Dur-exact.Entries[i].Dur) > 2*tick {
+		if math.Abs(cap.Entries[i].Dur-ref.Entries[i].Dur) > 2*tick {
 			t.Fatalf("entry %d dur %v vs exact %v beyond clock quantization",
-				i, cap.Entries[i].Dur, exact.Entries[i].Dur)
+				i, cap.Entries[i].Dur, ref.Entries[i].Dur)
 		}
 	}
 }
@@ -157,10 +165,7 @@ func TestCaptureCounterWrap(t *testing.T) {
 		return 1
 	}
 	cfg := CaptureConfig{ClockHz: 10e6, CounterBits: 8}
-	cap, err := Capture(cls, T, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cap := rawCapture(t, cls, T, cfg)
 	// Raw capture has wrap splits -> more than 2 entries.
 	if len(cap.Entries) <= 2 {
 		t.Fatalf("expected wrap splits, got %d entries", len(cap.Entries))
@@ -177,27 +182,28 @@ func TestCaptureCounterWrap(t *testing.T) {
 }
 
 func TestCaptureValidation(t *testing.T) {
-	cls := stepClassifier(1)
-	if _, err := Capture(cls, 1, CaptureConfig{ClockHz: 0, CounterBits: 8}); err == nil {
-		t.Fatal("zero clock accepted")
-	}
-	if _, err := Capture(cls, 1, CaptureConfig{ClockHz: 1e6, CounterBits: 0}); err == nil {
-		t.Fatal("zero-bit counter accepted")
-	}
-	if _, err := Capture(cls, 0, DefaultCapture()); err == nil {
-		t.Fatal("zero period accepted")
-	}
-	if _, err := Capture(cls, 1e-9, CaptureConfig{ClockHz: 1e6, CounterBits: 8}); err == nil {
-		t.Fatal("sub-tick period accepted")
+	for _, c := range []struct {
+		name string
+		T    float64
+		cfg  CaptureConfig
+	}{
+		{"zero clock", 1, CaptureConfig{ClockHz: 0, CounterBits: 8}},
+		{"zero-bit counter", 1, CaptureConfig{ClockHz: 1e6, CounterBits: 0}},
+		{"zero period", 0, DefaultCapture()},
+		{"sub-tick period", 1e-9, CaptureConfig{ClockHz: 1e6, CounterBits: 8}},
+	} {
+		if _, err := c.cfg.Ticks(c.T); err == nil {
+			t.Fatalf("%s accepted by Ticks", c.name)
+		}
+		if _, err := CaptureCanonicalCodes(make([]monitor.Code, 2), c.T, c.cfg, nil); err == nil {
+			t.Fatalf("%s accepted by CaptureCanonicalCodes", c.name)
+		}
 	}
 }
 
 func TestCaptureDurationsSumToPeriod(t *testing.T) {
 	T := 200e-6
-	cap, err := Capture(stepClassifier(T), T, DefaultCapture())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cap := rawCapture(t, stepClassifier(T), T, DefaultCapture())
 	sum := 0.0
 	for _, e := range cap.Entries {
 		sum += e.Dur
@@ -209,7 +215,7 @@ func TestCaptureDurationsSumToPeriod(t *testing.T) {
 
 func TestBinaryRoundTrip(t *testing.T) {
 	T := 1e-3
-	sig, _ := Exact(stepClassifier(T), T, 4096, 1e-12)
+	sig, _ := exact(stepClassifier(T), T, 4096, 1e-12)
 	data, err := sig.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +285,7 @@ func paperSignature(t *testing.T, f0Shift float64) (*Signature, *monitor.Bank) {
 	cls := func(tt float64) monitor.Code {
 		return bank.Classify(in.Eval(tt), out.Eval(tt))
 	}
-	sig, err := Exact(cls, in.Period(), 8192, 1e-12)
+	sig, err := exact(cls, in.Period(), 8192, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +346,7 @@ func TestChronogramShape(t *testing.T) {
 	}
 }
 
-// Property: Capture + Canonical always yields durations summing to the
+// Property: the canonical capture always yields durations summing to the
 // period and never two adjacent equal codes, for random step patterns.
 func TestCaptureInvariantProperty(t *testing.T) {
 	prop := func(seed uint8) bool {
@@ -350,11 +356,15 @@ func TestCaptureInvariantProperty(t *testing.T) {
 			frac := math.Mod(t, T) / T
 			return monitor.Code(int(frac*float64(k)) % k)
 		}
-		cap, err := Capture(cls, T, CaptureConfig{ClockHz: 5e6, CounterBits: 12})
+		cfg := CaptureConfig{ClockHz: 5e6, CounterBits: 12}
+		codes, err := tickCodes(cls, T, cfg)
 		if err != nil {
 			return false
 		}
-		can := cap.Canonical()
+		can, err := CaptureCanonicalCodes(codes, T, cfg, nil)
+		if err != nil {
+			return false
+		}
 		sum := 0.0
 		for i, e := range can.Entries {
 			sum += e.Dur
@@ -371,7 +381,7 @@ func TestCaptureInvariantProperty(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	T := 1e-3
-	sig, _ := Exact(stepClassifier(T), T, 4096, 1e-12)
+	sig, _ := exact(stepClassifier(T), T, 4096, 1e-12)
 	data, err := json.Marshal(sig)
 	if err != nil {
 		t.Fatal(err)

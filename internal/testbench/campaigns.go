@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/biquad"
+	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/ndf"
 )
@@ -17,8 +18,8 @@ import (
 // here makes it scriptable, servable and discoverable at once.
 //
 // Params structs carry their defaults as field values; a spec overrides
-// only the fields it names. Common knobs (backend, seed, workers, scalar
-// engine) live on the Spec itself, not in params.
+// only the fields it names. Common knobs (backend, seed, workers, chunk,
+// checkpoint) live on the Spec itself, not in params.
 
 // Fig1Params configures the "fig1" campaign.
 type Fig1Params struct {
@@ -207,6 +208,27 @@ type CounterParams struct {
 	Shift  float64   `json:"shift"`
 	Bits   []int     `json:"bits"`
 	Clocks []float64 `json:"clocks"`
+}
+
+// Validate bounds the ablation grid: at most MaxPoints (bits, clock)
+// cells, counter widths in [1, 32], and positive clocks of at most
+// MaxCaptureTicks ticks per period of the paper's stimulus.
+func (p *CounterParams) Validate() error {
+	if n := len(p.Bits) * len(p.Clocks); n > MaxPoints {
+		return fmt.Errorf("%d bits × clocks cells exceed the %d bound", n, MaxPoints)
+	}
+	for _, m := range p.Bits {
+		if m < 1 || m > 32 {
+			return fmt.Errorf("counter bits %d out of [1, 32]", m)
+		}
+	}
+	T := core.Default().Period()
+	for _, f := range p.Clocks {
+		if !(f > 0) || f*T > MaxCaptureTicks {
+			return fmt.Errorf("clock %g Hz: need a positive clock of at most %d ticks per %g s period", f, MaxCaptureTicks, T)
+		}
+	}
+	return nil
 }
 
 // LinearParams configures the "linear" campaign.

@@ -42,10 +42,6 @@ func runCornerDrift(ctx context.Context, sys *core.System) (*CornerDrift, error)
 			return nil, err
 		}
 		cSys.Observe = sys.Observe
-		// One exact scan on a throwaway bank: the zone-LUT build would
-		// cost more than it amortizes, so keep the scalar classifier
-		// (results are bit-identical either way).
-		cSys.Scalar = true
 		obs, err := cSys.ExactSignature(sys.CUT)
 		if err != nil {
 			return nil, err

@@ -227,10 +227,6 @@ func runAblCounter(ctx context.Context, sys *core.System, shift float64, bits []
 	if err != nil {
 		return nil, err
 	}
-	cls, err := sys.Classifier(cut, 0, nil)
-	if err != nil {
-		return nil, err
-	}
 	out := &AblCounter{Shift: shift, Bits: bits, Clocks: clocks, ExactNDF: exact}
 	for _, m := range bits {
 		row := make([]float64, len(clocks))
@@ -239,11 +235,16 @@ func runAblCounter(ctx context.Context, sys *core.System, shift float64, bits []
 				return nil, err
 			}
 			cfg := signature.CaptureConfig{ClockHz: f, CounterBits: m}
-			sig, err := signature.Capture(cls, sys.Period(), cfg)
+			cSys, err := core.NewSystem(sys.Stimulus, sys.CUT, sys.Bank, cfg)
 			if err != nil {
 				return nil, err
 			}
-			v, err := ndf.NDF(sig.Canonical(), g)
+			cSys.Observe = sys.Observe
+			sig, err := cSys.CapturedSignature(cut, 0, nil)
+			if err != nil {
+				return nil, err
+			}
+			v, err := ndf.NDF(sig, g)
 			if err != nil {
 				return nil, err
 			}

@@ -195,6 +195,12 @@ const MaxPoints = 1 << 14
 // the stimopt phase grid — whose cost grows with its square.
 const MaxGridSide = 1 << 10
 
+// MaxCaptureTicks bounds the master-clock ticks per period (ClockHz·T)
+// of one counter-ablation capture. Each tick holds a time, two float64
+// samples and a code, so a cell stays under ~8 MiB; the campaign's
+// fastest default clock, 100 MHz, takes 20000 ticks.
+const MaxCaptureTicks = 1 << 18
+
 // paramsValidator is implemented by params structs that constrain their
 // values beyond what the JSON schema can express (trial-count and size
 // bounds, positive sigmas). Validate and Run both consult it after

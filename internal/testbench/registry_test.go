@@ -271,24 +271,6 @@ func TestRunCancellationPromptAndLeakFree(t *testing.T) {
 	}
 }
 
-// The scalar-engine knob must not change any campaign result (the batched
-// engine's bit-identity contract, reachable through the spec).
-func TestSpecScalarEngineBitIdentical(t *testing.T) {
-	batched, err := Run(context.Background(), Spec{Campaign: "fig8",
-		Params: Fig8Params{MaxDev: 0.10, Points: 5, Tol: 0.05}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := Run(context.Background(), Spec{Campaign: "fig8", Scalar: true,
-		Params: Fig8Params{MaxDev: 0.10, Points: 5, Tol: 0.05}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batched.Text != scalar.Text {
-		t.Fatalf("scalar engine changed the fig8 sweep:\n%s\nvs\n%s", batched.Text, scalar.Text)
-	}
-}
-
 // Cancellation must also cut the non-pool loop campaigns (per-iteration
 // ctx checks), using the campaign engine's seed-free path.
 func TestLoopCampaignCancellation(t *testing.T) {

@@ -38,10 +38,6 @@ type Spec struct {
 	// unlike Chunk — the cadence is not part of the reproducibility
 	// contract; it only bounds how much work a killed run replays.
 	Checkpoint int `json:"checkpoint,omitempty"`
-	// Scalar disables the batched signature engine and runs the retained
-	// per-tick scalar pipeline (bit-identical, slower) — the knob the
-	// engine-agreement studies flip.
-	Scalar bool `json:"scalar,omitempty"`
 	// Params holds the campaign-specific parameters. Accepted forms: nil
 	// (registry defaults), the campaign's typed params struct (or a
 	// pointer to it), json.RawMessage/[]byte, or any JSON-shaped value
@@ -75,7 +71,6 @@ type runConfig struct {
 	progress   func(done, total int)
 	meter      campaign.Meter
 	sys        *core.System
-	scalar     bool
 }
 
 // Option customizes one Run call without touching the serializable Spec.
@@ -104,15 +99,9 @@ func WithMeter(m campaign.Meter) Option {
 }
 
 // WithSystem pins the system the campaign runs on, bypassing the spec's
-// Backend/Scalar resolution — the hook custom-configured systems use.
+// Backend resolution — the hook custom-configured systems use.
 func WithSystem(sys *core.System) Option {
 	return func(c *runConfig) { c.sys = sys }
-}
-
-// WithScalarEngine forces the per-tick scalar signature pipeline, as if
-// the spec had Scalar set.
-func WithScalarEngine() Option {
-	return func(c *runConfig) { c.scalar = true }
 }
 
 // Env is the execution environment a campaign implementation receives:
@@ -129,8 +118,7 @@ type Env struct {
 }
 
 // System resolves (once) the core.System the spec describes — the pinned
-// WithSystem value, or the paper's reference system on the spec backend
-// with the scalar-engine knob applied.
+// WithSystem value, or the paper's reference system on the spec backend.
 func (ev *Env) System() (*core.System, error) {
 	if ev.resolved {
 		return ev.sys, ev.sysErr
@@ -145,9 +133,6 @@ func (ev *Env) System() (*core.System, error) {
 		backend = core.Backends()[0]
 	}
 	ev.sys, ev.sysErr = core.SystemForBackend(backend)
-	if ev.sysErr == nil && ev.spec.Scalar {
-		ev.sys.Scalar = true
-	}
 	return ev.sys, ev.sysErr
 }
 
@@ -197,9 +182,6 @@ func compile(spec Spec, opts ...Option) (*campaignDef, *Env, Spec, any, error) {
 	cfg := runConfig{}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.scalar {
-		spec.Scalar = true
 	}
 	workers := spec.Workers
 	if cfg.workersSet {

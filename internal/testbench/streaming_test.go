@@ -275,6 +275,12 @@ func TestSizeKnobValidation(t *testing.T) {
 		{Campaign: "fig7", Params: Fig7Params{Shift: 0.1, Points: -1}},
 		{Campaign: "fig8", Params: Fig8Params{MaxDev: 0.2, Points: 1 << 40, Tol: 0.05}},
 		{Campaign: "stimopt", Params: StimOptParams{Shift: 0.05, Grid: MaxGridSide + 1}},
+		{Campaign: "counter", Params: CounterParams{Shift: 0.1, Bits: []int{16}, Clocks: []float64{1e13}}},
+		{Campaign: "counter", Params: CounterParams{Shift: 0.1, Bits: []int{16}, Clocks: []float64{0}}},
+		{Campaign: "counter", Params: CounterParams{Shift: 0.1, Bits: []int{16}, Clocks: []float64{-1e6}}},
+		{Campaign: "counter", Params: CounterParams{Shift: 0.1, Bits: []int{0}, Clocks: []float64{1e6}}},
+		{Campaign: "counter", Params: CounterParams{Shift: 0.1, Bits: []int{33}, Clocks: []float64{1e6}}},
+		{Campaign: "counter", Params: CounterParams{Shift: 0.1, Bits: make([]int, 200), Clocks: make([]float64, 100)}},
 	} {
 		if err := Validate(bad); err == nil {
 			t.Fatalf("oversize spec %+v validated", bad)
